@@ -15,8 +15,6 @@ from .alphabet import (
 from .channel import (
     ChannelPair,
     achievable_rate,
-    compute_g,
-    compute_h,
     field_sum,
     received_power,
     sinc,
@@ -29,7 +27,6 @@ from .core import (
     Terminal,
     Wave,
     canonical_phase,
-    distance_and_angle,
 )
 from .designer import (
     OptimizerReport,
@@ -49,6 +46,7 @@ from .pattern import (
     NearFieldRadiusWarning,
     PatternTrace,
     SweepSpec,
+    check_sweep_radius,
     extract_metrics,
     far_field_radius,
     fraunhofer_distance,
@@ -58,8 +56,10 @@ from .pattern import (
 )
 from .scenario import (
     Scenario,
+    ScenarioDesign,
     ScenarioResult,
     TraceBundle,
+    design_scenario,
     parse_scenario,
     run_grid,
     run_scenario,

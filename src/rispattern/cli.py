@@ -14,12 +14,19 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .alphabet import builtin, builtin_names, constellation_stats, dump_alphabet, load_alphabet, uadp_set
-from .scenario import ElementBudgetError, DEFAULT_ELEMENT_BUDGET, parse_scenario, run_scenario
+from .alphabet import DesignCriterion, builtin, builtin_names, constellation_stats, dump_alphabet, load_alphabet, uadp_set
+from .scenario import (
+    DEFAULT_ELEMENT_BUDGET,
+    ElementBudgetError,
+    design_scenario,
+    parse_scenario,
+    run_scenario,
+)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -56,31 +63,37 @@ def matrix_csv(matrix: np.ndarray) -> str:
 
 
 def _load_scenario_file(path: str, lenient: bool):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return text, parse_scenario(text, lenient=lenient)
+    """(text, scenario) of a scenario file, or None after reporting why it
+    cannot be used (exit code 2)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        return text, parse_scenario(text, lenient=lenient)
+    except OSError as exc:
+        print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
+def _write_colormap(gamma: np.ndarray, phase_path: str, amp_path: str) -> list[str]:
+    """Write the gamma phase (degrees) and amplitude matrices; return the paths."""
+    _atomic_write(phase_path, matrix_csv(np.degrees(np.angle(gamma))))
+    _atomic_write(amp_path, matrix_csv(np.abs(gamma)))
+    return [phase_path, amp_path]
 
 
 def cmd_run(args) -> int:
-    try:
-        text, scenario = _load_scenario_file(args.scenario, args.lenient)
-    except OSError as exc:
-        print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
+    loaded = _load_scenario_file(args.scenario, args.lenient)
+    if loaded is None:
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    text, scenario = loaded
 
     os.makedirs(args.out, exist_ok=True)
     budget = None if args.allow_large else DEFAULT_ELEMENT_BUDGET
     if args.step is not None:
-        from dataclasses import replace
-
         scenario = replace(scenario, sweep_step=args.step)
     if args.seed is not None and scenario.criterion.kind == "diffuser":
-        from dataclasses import replace
-        from .alphabet import DesignCriterion
-
         scenario = replace(scenario, criterion=DesignCriterion.diffuser(args.seed))
 
     t0 = time.perf_counter()
@@ -104,11 +117,11 @@ def cmd_run(args) -> int:
         _atomic_write(path, trace_csv(itrace))
         outputs.append(path)
     if args.colormap:
-        phase_path = os.path.join(args.out, "gamma_phase_deg.csv")
-        amp_path = os.path.join(args.out, "gamma_amplitude.csv")
-        _atomic_write(phase_path, matrix_csv(np.degrees(np.angle(result.config.gamma))))
-        _atomic_write(amp_path, matrix_csv(np.abs(result.config.gamma)))
-        outputs.extend([phase_path, amp_path])
+        outputs += _write_colormap(
+            result.config.gamma,
+            os.path.join(args.out, "gamma_phase_deg.csv"),
+            os.path.join(args.out, "gamma_amplitude.csv"),
+        )
 
     manifest = {
         "tool_version": __version__,
@@ -164,26 +177,19 @@ def cmd_alphabet(args) -> int:
 
 
 def cmd_colormap(args) -> int:
-    try:
-        text, scenario = _load_scenario_file(args.scenario, args.lenient)
-    except OSError as exc:
-        print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
+    """Design the scenario's surface and export gamma, without sweeping."""
+    loaded = _load_scenario_file(args.scenario, args.lenient)
+    if loaded is None:
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _, scenario = loaded
     budget = None if args.allow_large else DEFAULT_ELEMENT_BUDGET
     try:
-        result = run_scenario(scenario, element_budget=budget)
+        design = design_scenario(scenario, element_budget=budget)
     except Exception as exc:  # noqa: BLE001
         print(f"error: scenario failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     base, ext = os.path.splitext(args.out)
-    ext = ext or ".csv"
-    phase_path = args.out
-    amp_path = f"{base}_amplitude{ext}"
-    _atomic_write(phase_path, matrix_csv(np.degrees(np.angle(result.config.gamma))))
-    _atomic_write(amp_path, matrix_csv(np.abs(result.config.gamma)))
+    phase_path, amp_path = _write_colormap(design.config.gamma, args.out, f"{base}_amplitude{ext or '.csv'}")
     print(f"wrote {phase_path} and {amp_path}")
     return 0
 

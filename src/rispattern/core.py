@@ -66,21 +66,6 @@ class RisGeometry:
         m = np.arange(1, self.n_cols + 1)
         return (m - (self.n_cols + 1) / 2.0) * self.pitch_y
 
-    def center_grids(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, Y) arrays of shape (N, M) with X[n, m] = x_n and Y[n, m] = y_m."""
-        return np.meshgrid(self.x_centers, self.y_centers, indexing="ij")
-
-    def element_center(self, n: int, m: int) -> tuple[float, float]:
-        """Center of the (n, m)th element, 1-based indices."""
-        if not (1 <= n <= self.n_rows) or not (1 <= m <= self.n_cols):
-            raise IndexError(
-                f"element ({n}, {m}) outside grid {self.n_rows}x{self.n_cols}"
-            )
-        return (
-            float((n - (self.n_rows + 1) / 2.0) * self.pitch_x),
-            float((m - (self.n_cols + 1) / 2.0) * self.pitch_y),
-        )
-
 
 @dataclass(frozen=True)
 class Wave:
@@ -182,14 +167,3 @@ class Terminal:
             and self.gain_pattern == other.gain_pattern
             and self.role == other.role
         )
-
-
-def distance_and_angle(terminal: Terminal, center) -> tuple[float, float, float]:
-    """Distance, obliquity cosine z/r, and polar angle from a terminal to an
-    element center (x, y) in the z=0 plane."""
-    cx, cy = float(center[0]), float(center[1])
-    dx = terminal.x - cx
-    dy = terminal.y - cy
-    dist = math.sqrt(dx * dx + dy * dy + terminal.z * terminal.z)
-    obliquity = terminal.z / dist
-    return dist, obliquity, math.acos(min(obliquity, 1.0))

@@ -5,6 +5,14 @@ The receiver is swept along an arc in the xz-plane (azimuth 0): position
 fixed radius (near-field studies) or the module's far-field default.  The
 illumination is held fixed, so sweeping a frozen configuration under an
 off-nominal transmitter doubles as the interference study.
+
+Every sweep point is evaluated exactly, per element, by the same kernel that
+builds `ChannelPair` (see the channel module): the power at each angle
+equals `received_power` of the pointwise channel up to rounding.  The
+kernel works through the angles in chunks whose temporaries stay within a
+fixed byte budget, so a sweep's peak memory is that budget plus O(N*M)
+whatever the grid, and it spreads the chunks of large sweeps over a few
+threads without changing a single bit of the result.
 """
 
 from __future__ import annotations
@@ -15,12 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import FOUR_PI, sinc
+from .channel import _received_powers
 from .core import RisGeometry, Terminal, Wave
-
-# Angle chunk size for the vectorized sweep; bounds peak memory at
-# chunk * N * M complex temporaries.
-_CHUNK = 128
 
 
 class NearFieldRadiusWarning(UserWarning):
@@ -33,22 +37,22 @@ def fraunhofer_distance(geom: RisGeometry, wave: Wave) -> float:
     return 2.0 * d2 / wave.wavelength
 
 
-def far_field_radius(geom: RisGeometry, wave: Wave, user_radius: float | None = None) -> float:
-    """Default far-field placement radius, 4x the Fraunhofer distance.
+def far_field_radius(geom: RisGeometry, wave: Wave) -> float:
+    """Default far-field placement radius, 4x the Fraunhofer distance."""
+    return 4.0 * fraunhofer_distance(geom, wave)
 
-    If a user-supplied fixed radius is given and lies inside the Fraunhofer
-    distance, a NearFieldRadiusWarning is emitted (near-field studies do this
-    on purpose).
-    """
+
+def check_sweep_radius(geom: RisGeometry, wave: Wave, radius: float) -> None:
+    """Emit a NearFieldRadiusWarning if a fixed sweep radius lies inside the
+    Fraunhofer distance (near-field studies do this on purpose)."""
     fraunhofer = fraunhofer_distance(geom, wave)
-    if user_radius is not None and user_radius < fraunhofer:
+    if radius < fraunhofer:
         warnings.warn(
-            f"radius {user_radius:g} m is inside the Fraunhofer distance "
+            f"radius {radius:g} m is inside the Fraunhofer distance "
             f"{fraunhofer:g} m; spherical-wavefront (near-field) regime",
             NearFieldRadiusWarning,
             stacklevel=2,
         )
-    return 4.0 * fraunhofer
 
 
 @dataclass(frozen=True)
@@ -127,68 +131,6 @@ def rx_arc_position(radius: float, theta_deg: float) -> tuple[float, float, floa
     return (radius * math.sin(t), 0.0, radius * math.cos(t))
 
 
-def _sweep_powers(
-    geom: RisGeometry,
-    wave: Wave,
-    tx: Terminal,
-    gamma: np.ndarray,
-    rx_positions: np.ndarray,
-    p_tx: float,
-    rx_gain=None,
-) -> np.ndarray:
-    """Received power for a batch of rx positions (A, 3), chunked over angles.
-
-    Algebraically identical to received_power over compute_g/compute_h per
-    position; vectorized here because the sweep grid times a lambda/32 pitch
-    is too slow element-by-element.
-    """
-    X, Y = geom.center_grids()
-    k = wave.wavenumber
-    offx_tx = tx.x - X
-    offy_tx = tx.y - Y
-    r_tx = np.sqrt(offx_tx**2 + offy_tx**2 + tx.z**2)
-    obl_tx = tx.z / r_tx
-    tx_side = (
-        np.sqrt(tx.gain_pattern.gain(obl_tx))
-        * obl_tx
-        * np.exp(-1j * k * r_tx)
-        / r_tx
-        / FOUR_PI
-    )
-    ux_tx = offx_tx / r_tx
-    uy_tx = offy_tx / r_tx
-
-    out = np.empty(len(rx_positions))
-    for start in range(0, len(rx_positions), _CHUNK):
-        pos = rx_positions[start : start + _CHUNK]
-        rx_x = pos[:, 0][:, None, None]
-        rx_y = pos[:, 1][:, None, None]
-        rx_z = pos[:, 2][:, None, None]
-        offx_rx = rx_x - X
-        offy_rx = rx_y - Y
-        r_rx = np.sqrt(offx_rx**2 + offy_rx**2 + rx_z**2)
-        obl_rx = rx_z / r_rx
-        gain_rx = 1.0 if rx_gain is None else np.sqrt(rx_gain.gain(obl_rx))
-        arg_x = k * (offx_rx / r_rx + ux_tx) * geom.pitch_x / 2.0
-        arg_y = k * (offy_rx / r_rx + uy_tx) * geom.pitch_y / 2.0
-        terms = (
-            gamma
-            * tx_side
-            * geom.pitch_x
-            * sinc(arg_x)
-            * gain_rx
-            * obl_rx
-            * np.exp(-1j * k * r_rx)
-            / r_rx
-            * geom.pitch_y
-            * sinc(arg_y)
-            / FOUR_PI
-        )
-        total = terms.reshape(len(pos), -1).sum(axis=1)
-        out[start : start + len(pos)] = p_tx * np.abs(total) ** 2
-    return out
-
-
 def sweep(
     geom: RisGeometry,
     wave: Wave,
@@ -196,12 +138,12 @@ def sweep(
     config,
     spec: SweepSpec,
     p_tx: float = 1.0,
-    rx_gain=None,
 ) -> PatternTrace:
-    """Sweep a receiver over the angular grid and return the power trace."""
+    """Sweep an isotropic receiver over the angular grid and return the
+    power trace."""
     if spec.fixed_radius is not None:
         radius = spec.fixed_radius
-        far_field_radius(geom, wave, user_radius=radius)
+        check_sweep_radius(geom, wave, radius)
     else:
         radius = far_field_radius(geom, wave)
     angles = spec.angles
@@ -209,7 +151,7 @@ def sweep(
     gamma = np.asarray(getattr(config, "gamma", config))
     if gamma.shape != (geom.n_rows, geom.n_cols):
         raise ValueError(f"gamma shape {gamma.shape} does not match geometry")
-    power = _sweep_powers(geom, wave, tx, gamma, positions, p_tx, rx_gain=rx_gain)
+    power = _received_powers(geom, wave, tx, gamma, positions, p_tx)
     criterion = getattr(config, "criterion", None)
     meta = {
         "radius_m": radius,

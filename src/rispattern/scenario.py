@@ -4,9 +4,10 @@ normal-incidence illumination.
 
 A scenario fixes the wave, the element pitch as a wavelength fraction, the
 design criterion and target angle, and whether the receiver is in the far
-field or on a near-field arc.  Running one builds the geometry
+field or on a near-field arc.  Designing one builds the geometry
 (N = M = floor(aperture / d), so the surface never exceeds the stated
-aperture), designs the surface, sweeps the pattern and extracts metrics.
+aperture) and designs the surface; running one also sweeps the pattern and
+extracts metrics.
 """
 
 from __future__ import annotations
@@ -110,11 +111,23 @@ class TraceBundle:
         return all(e.ok for e in self.entries)
 
 
-def run_scenario(
+@dataclass(frozen=True, eq=False)
+class ScenarioDesign:
+    """A scenario's designed surface and the placement it was designed for."""
+
+    geometry: RisGeometry
+    tx: Terminal
+    tx_radius: float
+    rx_radius: float  # design receiver radius, also the sweep radius
+    config: SurfaceConfig
+    report: OptimizerReport | None
+
+
+def design_scenario(
     s: Scenario,
     element_budget: int | None = DEFAULT_ELEMENT_BUDGET,
-) -> ScenarioResult:
-    """Execute one scenario: geometry, design, sweep, metrics."""
+) -> ScenarioDesign:
+    """Geometry, element budget check, terminals, channel and design."""
     geom = s.geometry()
     if element_budget is not None and geom.n_elements > element_budget:
         raise ElementBudgetError(
@@ -124,22 +137,30 @@ def run_scenario(
     wave = s.wave
     tx_radius = far_field_radius(geom, wave)
     tx = Terminal(rx_arc_position(tx_radius, 0.0), role="tx")
-
-    if s.field_regime == "near":
-        rx_radius = s.near_radius
-    else:
-        rx_radius = tx_radius
+    rx_radius = s.near_radius if s.field_regime == "near" else tx_radius
     design_rx = Terminal(rx_arc_position(rx_radius, s.target_angle), role="rx")
 
     with warnings.catch_warnings():
-        # near-field placement inside the Fraunhofer distance is intentional
         warnings.simplefilter("ignore")
         pair = ChannelPair.compute(geom, wave, tx, design_rx)
         config, report = design_for_criterion(pair, s.criterion)
-        spec = SweepSpec(step=s.sweep_step, fixed_radius=rx_radius if s.field_regime == "near" else None)
-        trace = sweep(geom, wave, tx, config, spec, p_tx=s.p_tx)
+    return ScenarioDesign(geom, tx, tx_radius, rx_radius, config, report)
+
+
+def run_scenario(
+    s: Scenario,
+    element_budget: int | None = DEFAULT_ELEMENT_BUDGET,
+) -> ScenarioResult:
+    """Execute one scenario: design, sweep, metrics."""
+    d = design_scenario(s, element_budget)
+    geom, wave, config = d.geometry, s.wave, d.config
+    with warnings.catch_warnings():
+        # near-field placement inside the Fraunhofer distance is intentional
+        warnings.simplefilter("ignore")
+        spec = SweepSpec(step=s.sweep_step, fixed_radius=d.rx_radius if s.field_regime == "near" else None)
+        trace = sweep(geom, wave, d.tx, config, spec, p_tx=s.p_tx)
         interference = tuple(
-            interference_study(geom, wave, config, theta, spec, p_tx=s.p_tx, tx_radius=tx_radius)
+            interference_study(geom, wave, config, theta, spec, p_tx=s.p_tx, tx_radius=d.tx_radius)
             for theta in s.interferer_angles
         )
     trace.metadata["target_angle_deg"] = s.target_angle
@@ -149,7 +170,7 @@ def run_scenario(
         config=config,
         trace=trace,
         metrics=extract_metrics(trace),
-        report=report,
+        report=d.report,
         interference_traces=interference,
     )
 

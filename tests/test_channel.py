@@ -1,4 +1,9 @@
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,15 +12,18 @@ from hypothesis import given, strategies as st
 from rispattern import (
     ChannelPair,
     RisGeometry,
+    SweepSpec,
     Terminal,
     Wave,
     achievable_rate,
-    compute_g,
-    compute_h,
     CosinePower,
     received_power,
+    rx_arc_position,
     sinc,
+    sweep,
 )
+from rispattern import channel
+from rispattern.scenario import DEFAULT_ELEMENT_BUDGET
 
 FOUR_PI = 4 * math.pi
 
@@ -33,7 +41,8 @@ def eq2_received_power(geom, wave, tx, rx, gamma, p_tx=1.0):
     total = 0j
     for n in range(1, geom.n_rows + 1):
         for m in range(1, geom.n_cols + 1):
-            xn, ym = geom.element_center(n, m)
+            xn = (n - (geom.n_rows + 1) / 2.0) * geom.pitch_x
+            ym = (m - (geom.n_cols + 1) / 2.0) * geom.pitch_y
             r_tx = math.sqrt((tx.x - xn) ** 2 + (tx.y - ym) ** 2 + tx.z**2)
             r_rx = math.sqrt((rx.x - xn) ** 2 + (rx.y - ym) ** 2 + rx.z**2)
             g_tx = float(tx.gain_pattern.gain(tx.z / r_tx))
@@ -102,8 +111,8 @@ class TestComputeG:
         geom = RisGeometry(1, 1, 0.05, 0.05)
         wave = Wave(2.3e9)
         rx = Terminal((0, 0, 10))
-        g_iso = compute_g(geom, wave, Terminal((0, 0, 10)), rx)
-        g_cos = compute_g(geom, wave, Terminal((0, 0, 10), CosinePower(2.0)), rx)
+        g_iso = ChannelPair.compute(geom, wave, Terminal((0, 0, 10)), rx).g
+        g_cos = ChannelPair.compute(geom, wave, Terminal((0, 0, 10), CosinePower(2.0)), rx).g
         assert g_cos == pytest.approx(g_iso)
 
 
@@ -116,7 +125,7 @@ class TestComputeH:
         # M=1, y centers at 0, both terminals at y=0: y-sinc argument is 0
         geom = RisGeometry(3, 1, 0.05, 0.05)
         wave = Wave(2.3e9)
-        h = compute_h(geom, wave, Terminal((0, 0, 10)), Terminal((4, 0, 6)))
+        h = ChannelPair.compute(geom, wave, Terminal((0, 0, 10)), Terminal((4, 0, 6))).h
         r_rx = np.sqrt((4 - geom.x_centers) ** 2 + 36.0)
         expected = 6.0 / r_rx**2 * 0.05 / FOUR_PI
         assert np.abs(h[:, 0]) == pytest.approx(expected, rel=1e-12)
@@ -239,3 +248,142 @@ class TestAchievableRate:
     def test_noise_must_be_positive(self):
         with pytest.raises(ValueError):
             achievable_rate(self.pair, self.gamma, 1.0, 0.0)
+
+
+class TestFieldKernel:
+    """The batched kernel against the scalar reference, off the y = 0 plane,
+    on a non-square grid with odd and even sides and cosine-power gains."""
+
+    geom = RisGeometry(5, 4, 0.03, 0.025)
+    wave = Wave(5.45e9)
+    tx = Terminal((0.7, -0.4, 2.5), CosinePower(2.0))
+
+    def gamma(self):
+        rng = np.random.default_rng(21)
+        return rng.uniform(0.3, 1.0, (5, 4)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (5, 4)))
+
+    def test_channel_pair_matches_reference(self):
+        gamma = self.gamma()
+        gain = CosinePower(1.5, normalize_directivity=True)
+        rxs = [Terminal(p, gain) for p in ((-1.1, 0.6, 2.0), (0.2, -0.9, 1.4), (1.5, 1.2, 0.8), (0.0, 0.3, 3.0))]
+        got = [received_power(ChannelPair.compute(self.geom, self.wave, self.tx, rx), gamma) for rx in rxs]
+        want = [eq2_received_power(self.geom, self.wave, self.tx, rx, gamma) for rx in rxs]
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * max(want)
+
+    @pytest.mark.parametrize("radius", [3.0, None])
+    def test_sweep_matches_reference(self, radius):
+        gamma = self.gamma()
+        trace = sweep(self.geom, self.wave, self.tx, gamma, SweepSpec(step=3.0, fixed_radius=radius), p_tx=1.7)
+        r = trace.metadata["radius_m"]
+        want = [
+            eq2_received_power(self.geom, self.wave, self.tx, Terminal(rx_arc_position(r, t)), gamma, 1.7)
+            for t in trace.angles
+        ]
+        assert np.max(np.abs(trace.power - want)) <= 1e-12 * trace.power.max()
+
+    def test_batch_off_plane_receivers(self):
+        gamma = self.gamma()
+        rng = np.random.default_rng(4)
+        positions = np.column_stack(
+            [rng.uniform(-2, 2, 40), rng.uniform(-2, 2, 40), rng.uniform(0.5, 3, 40)]
+        )
+        got = channel._received_powers(self.geom, self.wave, self.tx, gamma, positions, 1.0)
+        want = [eq2_received_power(self.geom, self.wave, self.tx, Terminal(p), gamma) for p in positions]
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(want)
+
+
+class TestChunking:
+    geom = RisGeometry(12, 9, 0.02, 0.02)
+    wave = Wave(10e9)
+    spec = SweepSpec(step=1.0)
+
+    def trace(self):
+        rng = np.random.default_rng(8)
+        gamma = np.exp(1j * rng.uniform(-np.pi, np.pi, (12, 9)))
+        tx = Terminal((0.3, 0.1, 2.0))
+        return sweep(self.geom, self.wave, tx, gamma, self.spec).power
+
+    @pytest.mark.parametrize(
+        "angles, grid_rows",
+        [(7, 12), (1, 5)],
+        ids=["several-angles", "partial-grid"],
+    )
+    def test_multi_chunk_matches_one_chunk(self, monkeypatch, angles, grid_rows):
+        assert channel._chunk_shape(12, 9)[0] >= len(self.spec.angles)
+        one_chunk = self.trace()
+        budget = channel._WORKERS * channel._BYTES_PER_ELEMENT_ANGLE * 9 * grid_rows * angles
+        monkeypatch.setattr(channel, "_CHUNK_BUDGET", budget)
+        assert channel._chunk_shape(12, 9) == (angles, grid_rows)
+        chunked = self.trace()
+        assert np.max(np.abs(chunked - one_chunk)) <= 1e-13 * one_chunk.max()
+        assert np.array_equal(self.trace(), chunked)
+
+    def test_concurrent_sweeps_repeat_bit_for_bit(self, monkeypatch):
+        # more callers than cores share the worker pool at once
+        budget = channel._WORKERS * channel._BYTES_PER_ELEMENT_ANGLE * 9 * 12 * 5
+        monkeypatch.setattr(channel, "_CHUNK_BUDGET", budget)
+        reference = self.trace()
+        results = [None] * 6
+
+        def call(i):
+            results[i] = self.trace()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for r in results:
+            assert np.array_equal(r, reference)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_sweeps_in_chunks(self, monkeypatch):
+        # the child inherits a pool object whose threads did not survive the fork
+        budget = channel._WORKERS * channel._BYTES_PER_ELEMENT_ANGLE * 9 * 12 * 5
+        monkeypatch.setattr(channel, "_CHUNK_BUDGET", budget)
+        reference = self.trace()
+        child = multiprocessing.get_context("fork").Process(target=self.check_trace, args=(reference,))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+
+    def check_trace(self, reference):
+        sys.exit(0 if np.array_equal(self.trace(), reference) else 1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_chunk_shape_within_budget(self, monkeypatch, workers):
+        monkeypatch.setattr(channel, "_WORKERS", workers)
+        for e in range(1, DEFAULT_ELEMENT_BUDGET + 1):
+            n_cols = math.isqrt(e)
+            n_rows = -(-e // n_cols)
+            angles, grid_rows = channel._chunk_shape(n_rows, n_cols)
+            assert angles >= 1 and 1 <= grid_rows <= n_rows
+            live = workers * angles * grid_rows * n_cols * channel._BYTES_PER_ELEMENT_ANGLE
+            assert live <= channel._CHUNK_BUDGET
+
+    def test_sweep_memory_stays_within_budget(self, monkeypatch):
+        # the chunk temporaries, as numpy reports them to tracemalloc, fit the
+        # budget; the rest is O(N*M) per-grid state
+        geom = RisGeometry(40, 40, 0.02, 0.02)
+        budget = 2**20
+        monkeypatch.setattr(channel, "_CHUNK_BUDGET", budget)
+        gamma = np.ones((40, 40), complex)
+        tx = Terminal((0.0, 0.0, 3.0))
+        spec = SweepSpec(step=0.5)
+        tracemalloc.start()
+        try:
+            sweep(geom, self.wave, tx, gamma, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_grid = 40 * geom.n_elements * 8
+        assert len(spec.angles) * geom.n_elements * channel._BYTES_PER_ELEMENT_ANGLE > 10 * budget
+        assert peak <= budget + per_grid

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rispattern import __version__, parse_scenario, run_scenario
+from rispattern import scenario as scenario_module
 from rispattern.cli import canonical_digest, main, trace_csv
 
 
@@ -198,6 +199,33 @@ class TestColormap:
         main(["run", str(scenario_file), "--out", str(out), "--colormap"])
         assert (out / "gamma_phase_deg.csv").exists()
         assert (out / "gamma_amplitude.csv").exists()
+
+    def test_matches_run_colormap_without_sweeping(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.ini"
+        path.write_text(INTERFERENCE_TEXT.replace("criterion = uacp", "criterion = uadp\nlevels = 4"))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--colormap"]) == 0
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("colormap must not sweep")
+
+        monkeypatch.setattr(scenario_module, "sweep", no_sweep)
+        monkeypatch.setattr(scenario_module, "interference_study", no_sweep)
+        assert main(["colormap", str(path), "--out", str(tmp_path / "phase.csv")]) == 0
+        assert (tmp_path / "phase.csv").read_bytes() == (out / "gamma_phase_deg.csv").read_bytes()
+        assert (tmp_path / "phase_amplitude.csv").read_bytes() == (out / "gamma_amplitude.csv").read_bytes()
+
+    def test_exit_codes(self, tmp_path, capsys):
+        out = str(tmp_path / "phase.csv")
+        assert main(["colormap", str(tmp_path / "nope.ini"), "--out", out]) == 2
+        assert "cannot read" in capsys.readouterr().err
+        big = tmp_path / "big.ini"
+        big.write_text(
+            "[scenario]\nfrequency_ghz = 33\ncriterion = uacp\n"
+            "target_angle_deg = 45\npitch_divisor = 32\naperture_m = 1.0\n"
+        )
+        assert main(["colormap", str(big), "--out", out]) == 1
+        assert "elements" in capsys.readouterr().err
 
 
 class TestVersion:

@@ -11,30 +11,39 @@ from rispattern import (
     Terminal,
     Wave,
     canonical_phase,
-    distance_and_angle,
 )
+from rispattern.channel import _terminal_terms
+from rispattern.core import ISOTROPIC
+
+
+def distance_and_angle(terminal, center):
+    """Distance, obliquity cosine z/r and polar angle from a terminal to an
+    element center (x, y), read off the channel kernel's per-element terms."""
+    amp, inv_r, _, _, _ = _terminal_terms(
+        np.array([float(center[0])]),
+        np.array([float(center[1])]),
+        np.array([terminal.position]),
+        ISOTROPIC,
+        0.0,
+    )
+    dist = 1.0 / inv_r.item()
+    obliquity = amp.item() * dist  # amp = (z/r) / r for an isotropic terminal
+    return dist, obliquity, math.acos(min(obliquity, 1.0))
 
 
 class TestElementCenters:
     def test_single_element_at_origin(self):
         geom = RisGeometry(1, 1, 0.3, 0.7)
-        assert geom.element_center(1, 1) == (0.0, 0.0)
+        assert (geom.x_centers[0], geom.y_centers[0]) == (0.0, 0.0)
 
     def test_symmetric_pair(self):
         geom = RisGeometry(2, 1, 0.5, 0.5)
-        assert geom.element_center(1, 1)[0] == -0.25
-        assert geom.element_center(2, 1)[0] == 0.25
+        assert geom.x_centers[0] == -0.25
+        assert geom.x_centers[1] == 0.25
 
     def test_odd_grid_midpoint_exact(self):
         geom = RisGeometry(3, 3, 0.1, 0.1)
-        assert geom.element_center(2, 2) == (0.0, 0.0)
-
-    def test_index_out_of_range(self):
-        geom = RisGeometry(2, 3, 0.1, 0.1)
-        with pytest.raises(IndexError):
-            geom.element_center(0, 1)
-        with pytest.raises(IndexError):
-            geom.element_center(1, 4)
+        assert (geom.x_centers[1], geom.y_centers[1]) == (0.0, 0.0)
 
     @given(
         n=st.integers(1, 40),

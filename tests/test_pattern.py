@@ -11,6 +11,7 @@ from rispattern import (
     RisGeometry,
     SweepSpec,
     Terminal,
+    check_sweep_radius,
     Wave,
     design_specular,
     design_uacp,
@@ -50,7 +51,7 @@ class TestFieldRegions:
     def test_near_radius_warns(self):
         geom, wave = square_setup()
         with pytest.warns(NearFieldRadiusWarning):
-            far_field_radius(geom, wave, user_radius=1.0)
+            check_sweep_radius(geom, wave, 1.0)
 
     def test_far_radius_silent(self):
         geom, wave = square_setup()
@@ -58,7 +59,7 @@ class TestFieldRegions:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            far_field_radius(geom, wave, user_radius=1e6)
+            check_sweep_radius(geom, wave, 1e6)
 
 
 class TestSweepSpec:
