@@ -25,31 +25,22 @@ an AVX-512 Xeon.
 
 Memory is bounded whatever the grid: a sweep is processed in chunks of
 angles (of element rows at one angle, when one angle over the whole grid is
-too big) whose live temporaries, summed over every worker thread, stay within
-`_CHUNK_BUDGET` bytes, so a sweep needs that budget plus O(N*M) for the
-weights and tx-side terms.  The budget is small enough that a chunk stays in
-a core's cache, which is faster than fewer, larger chunks.  Chunks run on a
-small thread pool (numpy releases the GIL inside its ufuncs and BLAS calls)
-that is created on the first call needing more than one chunk; a call that
-fits in one chunk runs inline.  Each chunk writes only its own slice of the
-output, its partial sums over element rows are added in a fixed order, and
-the chunking depends only on the grid shape, so reruns are bit for bit
-identical.
+too big) whose live temporaries stay within `_CHUNK_BUDGET` bytes, so a
+sweep needs that budget plus O(N*M) for the weights and tx-side terms.  The
+budget is small enough that a chunk stays in a core's cache, which is faster
+than fewer, larger chunks.  Chunks run one after another, each writes only
+its own slice of the output, its partial sums over element rows are added in
+a fixed order, and the chunking depends only on the grid shape, so reruns
+are bit for bit identical.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import ISOTROPIC, RisGeometry, Terminal, Wave
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 FOUR_PI = 4.0 * np.pi
 
@@ -61,40 +52,8 @@ _SINC_SERIES_BELOW = 1e-4
 # boolean mask.
 _BYTES_PER_ELEMENT_ANGLE = 5 * 8 + 1
 
-# Upper bound, in bytes, on the live chunk temporaries of all workers at once.
-_CHUNK_BUDGET = 4 * 2**20
-
-# Worker threads for sweeps of more than one chunk.  More than a few would
-# only shrink each worker's share of the budget.
-_WORKERS = min(
-    4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _executor() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here so that importing the package stays as cheap as
-            # before; most runs never need more than one chunk
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="rispattern-field")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child inherits the pool object but none of its threads.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+# Upper bound, in bytes, on the live temporaries of one chunk.
+_CHUNK_BUDGET = 2 * 2**20
 
 
 def _sinc_half(h: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -230,15 +189,25 @@ def _rx_terms(ill: _Illumination, pos: np.ndarray, gain_pattern):
 def _chunk_shape(n_rows: int, n_cols: int) -> tuple[int, int]:
     """(angles, grid rows) of one chunk of a sweep over an n_rows x n_cols grid.
 
-    Each of the _WORKERS chunks that can be in flight gets an equal share of
-    _CHUNK_BUDGET.  A chunk takes whole angles over the full grid while one
-    angle fits its share, and otherwise one angle over as many grid rows as
-    fit; only a single grid row wider than the share overruns it.
+    A chunk takes whole angles over the full grid while one angle fits
+    _CHUNK_BUDGET, and otherwise one angle over as many grid rows as fit;
+    only a single grid row wider than the budget overruns it.
     """
-    share = _CHUNK_BUDGET // _WORKERS
     row_bytes = _BYTES_PER_ELEMENT_ANGLE * n_cols
-    grid_rows = max(1, min(n_rows, share // row_bytes))
-    return max(1, share // (row_bytes * grid_rows)), grid_rows
+    grid_rows = max(1, min(n_rows, _CHUNK_BUDGET // row_bytes))
+    return max(1, _CHUNK_BUDGET // (row_bytes * grid_rows)), grid_rows
+
+
+def _block_sums(block: _Illumination, w_block: np.ndarray, pos: np.ndarray):
+    """Products of the (2, E) weights of one block of element rows with the
+    real and half-imaginary parts of its isotropic rx factor, (2, A) each.
+
+    The chunk temporaries are freed on return, before the next block's.
+    """
+    sinc_x, c, s = _rx_terms(block, pos, ISOTROPIC)
+    c *= sinc_x
+    s *= sinc_x
+    return w_block @ c.reshape(len(pos), -1).T, w_block @ s.reshape(len(pos), -1).T
 
 
 def _received_powers(
@@ -261,27 +230,15 @@ def _received_powers(
         (ill.rows(sl), w[:, sl].reshape(2, -1))
         for sl in (slice(n, n + grid_rows) for n in range(0, geom.n_rows, grid_rows))
     ]
-
-    def run(start: int) -> None:
+    for start in range(0, n_pos, angles):
         pos = rx_positions[start : start + angles]
         re = np.zeros(len(pos))
         im = np.zeros(len(pos))
         for block, w_block in blocks:
-            sinc_x, c, s = _rx_terms(block, pos, ISOTROPIC)
-            c *= sinc_x
-            s *= sinc_x
-            p = w_block @ c.reshape(len(pos), -1).T
-            q = w_block @ s.reshape(len(pos), -1).T
+            p, q = _block_sums(block, w_block, pos)
             re += p[0] + 2.0 * q[1]
             im += p[1] - 2.0 * q[0]
         out[start : start + len(pos)] = p_tx * (re * re + im * im)
-
-    starts = range(0, n_pos, angles)
-    if len(starts) == 1:
-        run(0)
-        return out
-    for f in [_executor().submit(run, start) for start in starts]:
-        f.result()
     return out
 
 

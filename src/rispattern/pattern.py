@@ -11,8 +11,7 @@ builds `ChannelPair` (see the channel module): the power at each angle
 equals `received_power` of the pointwise channel up to rounding.  The
 kernel works through the angles in chunks whose temporaries stay within a
 fixed byte budget, so a sweep's peak memory is that budget plus O(N*M)
-whatever the grid, and it spreads the chunks of large sweeps over a few
-threads without changing a single bit of the result.
+whatever the grid; reruns repeat bit for bit.
 """
 
 from __future__ import annotations

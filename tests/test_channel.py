@@ -1,8 +1,4 @@
 import math
-import multiprocessing
-import os
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -311,62 +307,20 @@ class TestChunking:
     def test_multi_chunk_matches_one_chunk(self, monkeypatch, angles, grid_rows):
         assert channel._chunk_shape(12, 9)[0] >= len(self.spec.angles)
         one_chunk = self.trace()
-        budget = channel._WORKERS * channel._BYTES_PER_ELEMENT_ANGLE * 9 * grid_rows * angles
+        budget = channel._BYTES_PER_ELEMENT_ANGLE * 9 * grid_rows * angles
         monkeypatch.setattr(channel, "_CHUNK_BUDGET", budget)
         assert channel._chunk_shape(12, 9) == (angles, grid_rows)
         chunked = self.trace()
         assert np.max(np.abs(chunked - one_chunk)) <= 1e-13 * one_chunk.max()
         assert np.array_equal(self.trace(), chunked)
 
-    def test_concurrent_sweeps_repeat_bit_for_bit(self, monkeypatch):
-        # more callers than cores share the worker pool at once
-        budget = channel._WORKERS * channel._BYTES_PER_ELEMENT_ANGLE * 9 * 12 * 5
-        monkeypatch.setattr(channel, "_CHUNK_BUDGET", budget)
-        reference = self.trace()
-        results = [None] * 6
-
-        def call(i):
-            results[i] = self.trace()
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-        finally:
-            sys.setswitchinterval(interval)
-        for r in results:
-            assert np.array_equal(r, reference)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_sweeps_in_chunks(self, monkeypatch):
-        # the child inherits a pool object whose threads did not survive the fork
-        budget = channel._WORKERS * channel._BYTES_PER_ELEMENT_ANGLE * 9 * 12 * 5
-        monkeypatch.setattr(channel, "_CHUNK_BUDGET", budget)
-        reference = self.trace()
-        child = multiprocessing.get_context("fork").Process(target=self.check_trace, args=(reference,))
-        child.start()
-        child.join(timeout=60)
-        if child.is_alive():
-            child.kill()
-        assert child.exitcode == 0
-
-    def check_trace(self, reference):
-        sys.exit(0 if np.array_equal(self.trace(), reference) else 1)
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_chunk_shape_within_budget(self, monkeypatch, workers):
-        monkeypatch.setattr(channel, "_WORKERS", workers)
+    def test_chunk_shape_within_budget(self):
         for e in range(1, DEFAULT_ELEMENT_BUDGET + 1):
             n_cols = math.isqrt(e)
             n_rows = -(-e // n_cols)
             angles, grid_rows = channel._chunk_shape(n_rows, n_cols)
             assert angles >= 1 and 1 <= grid_rows <= n_rows
-            live = workers * angles * grid_rows * n_cols * channel._BYTES_PER_ELEMENT_ANGLE
+            live = angles * grid_rows * n_cols * channel._BYTES_PER_ELEMENT_ANGLE
             assert live <= channel._CHUNK_BUDGET
 
     def test_sweep_memory_stays_within_budget(self, monkeypatch):
