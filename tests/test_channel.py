@@ -307,7 +307,7 @@ class TestChunking:
     def test_multi_chunk_matches_one_chunk(self, monkeypatch, angles, grid_rows):
         assert channel._chunk_shape(12, 9)[0] >= len(self.spec.angles)
         one_chunk = self.trace()
-        budget = channel._BYTES_PER_ELEMENT_ANGLE * 9 * grid_rows * angles
+        budget = channel._WORKERS * channel._BYTES_PER_ELEMENT_ANGLE * 9 * grid_rows * angles
         monkeypatch.setattr(channel, "_CHUNK_BUDGET", budget)
         assert channel._chunk_shape(12, 9) == (angles, grid_rows)
         chunked = self.trace()
@@ -320,7 +320,7 @@ class TestChunking:
             n_rows = -(-e // n_cols)
             angles, grid_rows = channel._chunk_shape(n_rows, n_cols)
             assert angles >= 1 and 1 <= grid_rows <= n_rows
-            live = angles * grid_rows * n_cols * channel._BYTES_PER_ELEMENT_ANGLE
+            live = channel._WORKERS * angles * grid_rows * n_cols * channel._BYTES_PER_ELEMENT_ANGLE
             assert live <= channel._CHUNK_BUDGET
 
     def test_sweep_memory_stays_within_budget(self, monkeypatch):
