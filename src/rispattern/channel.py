@@ -32,8 +32,8 @@ stays in a core's cache, which is faster than fewer, larger chunks.  A sweep
 of more than one chunk runs its chunks on two threads of its own (numpy
 releases the GIL inside its ufuncs and BLAS calls).  Each chunk writes only
 its own slice of the output, its partial sums over element rows are added in
-a fixed order, and the chunking depends only on the grid shape, so reruns
-are bit for bit identical on any machine.
+a fixed order, and the chunking depends only on the grid shape, not on the
+CPU count, so reruns are bit for bit identical.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ _BYTES_PER_ELEMENT_ANGLE = 5 * 8 + 1
 # Upper bound, in bytes, on the live chunk temporaries of all workers at once.
 _CHUNK_BUDGET = 4 * 2**20
 
-# Threads that a sweep of more than one chunk runs its chunks on.  On a
-# 2-vCPU x86-64 box two threads cut the far-sweep benchmark's wall time by
-# 30% against one; larger counts were not measured.
+# Threads that a sweep of more than one chunk runs its chunks on.  A fixed
+# count keeps the chunking, and so the rounding of a sweep, independent of
+# the machine's CPU count.  On a 2-vCPU x86-64 box two threads cut the far-sweep benchmark's
+# wall time by 28% against one; larger counts were not measured.
 _WORKERS = 2
 
 
