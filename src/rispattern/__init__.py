@@ -58,10 +58,8 @@ from .scenario import (
     Scenario,
     ScenarioDesign,
     ScenarioResult,
-    TraceBundle,
     design_scenario,
     parse_scenario,
-    run_grid,
     run_scenario,
 )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,56 +108,6 @@ def uadp_set(levels: int) -> Alphabet:
     return Alphabet(entries, source_label=f"uadp({levels})")
 
 
-def _builtin_mmwave33():
-    return Alphabet(
-        (
-            ComplexCoefficient.from_linear_deg(0.8, 150.0),
-            ComplexCoefficient.from_linear_deg(0.8, 0.0),
-        ),
-        source_label="mmwave33",
-        nominal_frequency=33e9,
-        nominal_cell_size=(0.418, 0.418),
-    )
-
-
-def _builtin_mmwave27():
-    return Alphabet(
-        (
-            ComplexCoefficient.from_linear_deg(0.9, 165.0),
-            ComplexCoefficient.from_linear_deg(0.7, 0.0),
-        ),
-        source_label="mmwave27",
-        nominal_frequency=27e9,
-        nominal_cell_size=(0.126, 0.252),
-    )
-
-
-def _builtin_omni3p6():
-    return Alphabet(
-        (
-            ComplexCoefficient.from_linear_deg(0.46, 20.0),
-            ComplexCoefficient.from_linear_deg(0.55, 215.0),
-        ),
-        source_label="omni3p6",
-        nominal_frequency=3.6e9,
-        nominal_cell_size=(0.345, 0.170),
-    )
-
-
-def _builtin_testbed2p3():
-    return Alphabet(
-        (
-            ComplexCoefficient.from_db_deg(-1.2, -205.5),
-            ComplexCoefficient.from_db_deg(-1.2, -383.2),
-            ComplexCoefficient.from_db_deg(-0.8, -290.2),
-            ComplexCoefficient.from_db_deg(-0.7, -110.3),
-        ),
-        source_label="testbed2p3",
-        nominal_frequency=2.3e9,
-        nominal_cell_size=(0.286, 0.286),
-    )
-
-
 # Varactor-tuned surface, one measured state per bias voltage.  The hardware
 # is continuously tunable but only these 14 measurements are available, so
 # they form the feasible set.  Band 5.15-5.75 GHz; the band center is used
@@ -180,22 +130,26 @@ _VARACTOR_ROWS = (
 )
 
 
-def _builtin_varactor5g():
-    return Alphabet(
-        tuple(ComplexCoefficient.from_db_deg(db, deg) for _, db, deg in _VARACTOR_ROWS),
-        source_label="varactor5g",
-        nominal_frequency=5.45e9,
-        nominal_cell_size=(0.25, 0.25),
-        control_values=tuple(v for v, _, _ in _VARACTOR_ROWS),
-    )
-
-
+# name: (amplitude unit, (amplitude, phase in degrees) rows, nominal
+# frequency in Hz, nominal cell size in wavelengths, control values)
 _BUILTINS = {
-    "mmwave33": _builtin_mmwave33,
-    "mmwave27": _builtin_mmwave27,
-    "omni3p6": _builtin_omni3p6,
-    "testbed2p3": _builtin_testbed2p3,
-    "varactor5g": _builtin_varactor5g,
+    "mmwave33": ("linear", ((0.8, 150.0), (0.8, 0.0)), 33e9, (0.418, 0.418), None),
+    "mmwave27": ("linear", ((0.9, 165.0), (0.7, 0.0)), 27e9, (0.126, 0.252), None),
+    "omni3p6": ("linear", ((0.46, 20.0), (0.55, 215.0)), 3.6e9, (0.345, 0.170), None),
+    "testbed2p3": (
+        "db",
+        ((-1.2, -205.5), (-1.2, -383.2), (-0.8, -290.2), (-0.7, -110.3)),
+        2.3e9,
+        (0.286, 0.286),
+        None,
+    ),
+    "varactor5g": (
+        "db",
+        tuple((db, deg) for _, db, deg in _VARACTOR_ROWS),
+        5.45e9,
+        (0.25, 0.25),
+        tuple(v for v, _, _ in _VARACTOR_ROWS),
+    ),
 }
 
 
@@ -206,12 +160,19 @@ def builtin_names() -> tuple[str, ...]:
 def builtin(name: str) -> Alphabet:
     """Look up a built-in measured alphabet by name."""
     try:
-        factory = _BUILTINS[name]
+        unit, rows, frequency, cell_size, controls = _BUILTINS[name]
     except KeyError:
         raise KeyError(
             f"unknown alphabet {name!r}; valid names: {', '.join(builtin_names())}"
         ) from None
-    return factory()
+    make = ComplexCoefficient.from_db_deg if unit == "db" else ComplexCoefficient.from_linear_deg
+    return Alphabet(
+        tuple(make(amp, deg) for amp, deg in rows),
+        source_label=name,
+        nominal_frequency=frequency,
+        nominal_cell_size=cell_size,
+        control_values=controls,
+    )
 
 
 def constellation_stats(alphabet: Alphabet) -> tuple[complex, float]:

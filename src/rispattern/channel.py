@@ -288,10 +288,6 @@ class ChannelPair:
             rx=rx,
         )
 
-    @property
-    def gh(self) -> np.ndarray:
-        return self.g * self.h
-
 
 def field_sum(pair: ChannelPair, config) -> complex:
     """Coherent sum over elements of g_nm * gamma_nm * h_nm.

@@ -89,10 +89,14 @@ def cmd_run(args) -> int:
         return 2
     text, scenario = loaded
 
+    if args.step is not None:
+        try:
+            scenario = replace(scenario, sweep_step=args.step)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     os.makedirs(args.out, exist_ok=True)
     budget = None if args.allow_large else DEFAULT_ELEMENT_BUDGET
-    if args.step is not None:
-        scenario = replace(scenario, sweep_step=args.step)
     if args.seed is not None and scenario.criterion.kind == "diffuser":
         scenario = replace(scenario, criterion=DesignCriterion.diffuser(args.seed))
 

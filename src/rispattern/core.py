@@ -74,8 +74,8 @@ class Wave:
     frequency: float
 
     def __post_init__(self):
-        if self.frequency <= 0:
-            raise ValueError(f"frequency must be positive, got {self.frequency}")
+        if not (math.isfinite(self.frequency) and self.frequency > 0):
+            raise ValueError(f"frequency must be positive and finite, got {self.frequency}")
 
     @property
     def wavelength(self) -> float:
@@ -133,7 +133,7 @@ class CosinePower(GainPattern):
 ISOTROPIC = Isotropic()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Terminal:
     """A transmitter or receiver: position in meters and an antenna gain pattern."""
 
@@ -158,12 +158,3 @@ class Terminal:
     @property
     def z(self) -> float:
         return self.position[2]
-
-    def __eq__(self, other):
-        if not isinstance(other, Terminal):
-            return NotImplemented
-        return (
-            self.position == other.position
-            and self.gain_pattern == other.gain_pattern
-            and self.role == other.role
-        )

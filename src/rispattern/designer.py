@@ -26,7 +26,6 @@ class SurfaceConfig:
     gamma: np.ndarray
     criterion: DesignCriterion
     alphabet_indices: np.ndarray | None = None
-    design_target: tuple | None = None  # (tx position, rx position)
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=complex)
@@ -67,43 +66,32 @@ def design_uacp(pair: ChannelPair) -> SurfaceConfig:
 
 
 def design_quantized(
-    pair: ChannelPair,
-    phases: np.ndarray,
-    amplitudes: np.ndarray | None = None,
-    criterion: DesignCriterion | None = None,
+    pair: ChannelPair, phases: np.ndarray, criterion: DesignCriterion
 ) -> SurfaceConfig:
     """Pick, per element, the candidate phase closest (circularly) to the
     co-phasing target.  Ties break to the lowest candidate index.
 
-    With unit amplitudes this covers both the evenly-spaced and the
-    experimental-phase criteria.
+    Every element gets unit amplitude, which covers both the evenly-spaced
+    and the experimental-phase criteria.
     """
     phases = np.asarray(phases, dtype=float)
     if phases.size == 0:
         raise ValueError("candidate phase set is empty")
-    if amplitudes is None:
-        amplitudes = np.ones_like(phases)
     target = _target_phase(pair)
     # circular distance from each target to each candidate, shape (N, M, L)
     dist = np.abs(canonical_phase(target[..., None] - phases[None, None, :]))
     idx = np.argmin(dist, axis=-1)
-    gamma = amplitudes[idx] * np.exp(1j * phases[idx])
-    if criterion is None:
-        criterion = DesignCriterion.uadp(len(phases))
+    gamma = np.exp(1j * phases[idx])
     return SurfaceConfig(gamma, criterion, alphabet_indices=idx)
 
 
 def design_uadp(pair: ChannelPair, levels: int) -> SurfaceConfig:
-    return design_quantized(
-        pair, uadp_set(levels).phases, criterion=DesignCriterion.uadp(levels)
-    )
+    return design_quantized(pair, uadp_set(levels).phases, DesignCriterion.uadp(levels))
 
 
 def design_uaep(pair: ChannelPair, alphabet: Alphabet) -> SurfaceConfig:
     """Experimental phases, amplitudes forced to one."""
-    return design_quantized(
-        pair, alphabet.phases, criterion=DesignCriterion.uaep(alphabet)
-    )
+    return design_quantized(pair, alphabet.phases, DesignCriterion.uaep(alphabet))
 
 
 def design_specular(geom: RisGeometry) -> SurfaceConfig:

@@ -66,10 +66,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.theta_min >= self.theta_max:
             raise ValueError("theta_min must be < theta_max")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.fixed_radius is not None and self.fixed_radius <= 0:
-            raise ValueError("fixed radius must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError("step must be positive and finite")
+        radius = self.fixed_radius
+        if radius is not None and not (math.isfinite(radius) and radius > 0):
+            raise ValueError("fixed radius must be positive and finite")
 
     @property
     def angles(self) -> np.ndarray:
@@ -120,9 +121,6 @@ class BeamMetrics:
     sidelobes: tuple[tuple[float, float], ...]  # (angle, power), descending power
     trace: PatternTrace
 
-    def power_at(self, angle_deg: float) -> float:
-        return self.trace.power_at(angle_deg)
-
 
 def rx_arc_position(radius: float, theta_deg: float) -> tuple[float, float, float]:
     """Receiver position on the xz-plane arc at the given polar angle."""
@@ -171,16 +169,14 @@ def interference_study(
     interferer_theta_inc: float,
     spec: SweepSpec,
     p_tx: float = 1.0,
-    tx_radius: float | None = None,
 ) -> PatternTrace:
     """Pattern of a frozen configuration illuminated from theta_inc.
 
-    The interferer sits at the nominal transmitter radius (far-field default
-    unless given); the configuration is not re-optimized.  theta_inc = 0
+    The interferer sits at the nominal (far-field default) transmitter
+    radius; the configuration is not re-optimized.  theta_inc = 0
     reproduces the nominal-illumination sweep exactly.
     """
-    radius = tx_radius if tx_radius is not None else far_field_radius(geom, wave)
-    tx = Terminal(rx_arc_position(radius, interferer_theta_inc), role="tx")
+    tx = Terminal(rx_arc_position(far_field_radius(geom, wave), interferer_theta_inc), role="tx")
     trace = sweep(geom, wave, tx, config, spec, p_tx=p_tx)
     trace.metadata["interferer_theta_inc_deg"] = interferer_theta_inc
     return trace

@@ -13,6 +13,7 @@ extracts metrics.
 from __future__ import annotations
 
 import configparser
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .core import RisGeometry, Terminal, Wave
 from .designer import OptimizerReport, SurfaceConfig, design_for_criterion
 from .pattern import (
     BeamMetrics,
+    NearFieldRadiusWarning,
     PatternTrace,
     SweepSpec,
     extract_metrics,
@@ -57,12 +59,12 @@ class Scenario:
     def __post_init__(self):
         if not (-90.0 < self.target_angle < 90.0):
             raise ValueError(f"target angle must be in (-90, 90), got {self.target_angle}")
-        if self.pitch_divisor <= 0 or self.aperture <= 0:
-            raise ValueError("pitch divisor and aperture must be positive")
+        for name in ("frequency", "pitch_divisor", "aperture", "near_radius", "sweep_step", "p_tx"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.field_regime not in ("far", "near"):
             raise ValueError(f"field regime must be 'far' or 'near', got {self.field_regime!r}")
-        if self.near_radius <= 0:
-            raise ValueError("near-field radius must be positive")
 
     @property
     def wave(self) -> Wave:
@@ -92,32 +94,11 @@ class ScenarioResult:
 
 
 @dataclass(frozen=True, eq=False)
-class BundleEntry:
-    scenario: Scenario
-    result: ScenarioResult | None
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-@dataclass(frozen=True, eq=False)
-class TraceBundle:
-    entries: tuple[BundleEntry, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-
-@dataclass(frozen=True, eq=False)
 class ScenarioDesign:
     """A scenario's designed surface and the placement it was designed for."""
 
     geometry: RisGeometry
     tx: Terminal
-    tx_radius: float
     rx_radius: float  # design receiver radius, also the sweep radius
     config: SurfaceConfig
     report: OptimizerReport | None
@@ -140,11 +121,9 @@ def design_scenario(
     rx_radius = s.near_radius if s.field_regime == "near" else tx_radius
     design_rx = Terminal(rx_arc_position(rx_radius, s.target_angle), role="rx")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pair = ChannelPair.compute(geom, wave, tx, design_rx)
-        config, report = design_for_criterion(pair, s.criterion)
-    return ScenarioDesign(geom, tx, tx_radius, rx_radius, config, report)
+    pair = ChannelPair.compute(geom, wave, tx, design_rx)
+    config, report = design_for_criterion(pair, s.criterion)
+    return ScenarioDesign(geom, tx, rx_radius, config, report)
 
 
 def run_scenario(
@@ -154,13 +133,13 @@ def run_scenario(
     """Execute one scenario: design, sweep, metrics."""
     d = design_scenario(s, element_budget)
     geom, wave, config = d.geometry, s.wave, d.config
+    spec = SweepSpec(step=s.sweep_step, fixed_radius=d.rx_radius)
     with warnings.catch_warnings():
         # near-field placement inside the Fraunhofer distance is intentional
-        warnings.simplefilter("ignore")
-        spec = SweepSpec(step=s.sweep_step, fixed_radius=d.rx_radius if s.field_regime == "near" else None)
+        warnings.simplefilter("ignore", NearFieldRadiusWarning)
         trace = sweep(geom, wave, d.tx, config, spec, p_tx=s.p_tx)
         interference = tuple(
-            interference_study(geom, wave, config, theta, spec, p_tx=s.p_tx, tx_radius=d.tx_radius)
+            interference_study(geom, wave, config, theta, spec, p_tx=s.p_tx)
             for theta in s.interferer_angles
         )
     trace.metadata["target_angle_deg"] = s.target_angle
@@ -173,19 +152,6 @@ def run_scenario(
         report=d.report,
         interference_traces=interference,
     )
-
-
-def run_grid(
-    scenarios, element_budget: int | None = DEFAULT_ELEMENT_BUDGET
-) -> TraceBundle:
-    """Run scenarios in order; individual failures are recorded, not raised."""
-    entries = []
-    for s in scenarios:
-        try:
-            entries.append(BundleEntry(s, run_scenario(s, element_budget)))
-        except Exception as exc:  # noqa: BLE001 - per-entry status is the contract
-            entries.append(BundleEntry(s, None, error=f"{type(exc).__name__}: {exc}"))
-    return TraceBundle(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +194,17 @@ def _check_keys(section, keys, allowed, lenient):
 
 
 def _resolve_alphabet(name: str) -> Alphabet:
-    if name.startswith("file:"):
-        from .alphabet import load_alphabet
+    try:
+        if name.startswith("file:"):
+            from .alphabet import load_alphabet
 
-        with open(name[5:], encoding="utf-8") as fh:
-            return load_alphabet(fh.read(), source_label=name[5:])
-    return builtin(name)
+            with open(name[5:], encoding="utf-8") as fh:
+                return load_alphabet(fh.read(), source_label=name[5:])
+        return builtin(name)
+    except KeyError as exc:
+        raise ScenarioParseError(exc.args[0]) from None
+    except (OSError, ValueError) as exc:
+        raise ScenarioParseError(f"cannot use alphabet {name!r}: {exc}") from exc
 
 
 def parse_scenario(text: str, lenient: bool = False) -> Scenario:
@@ -275,28 +246,6 @@ def parse_scenario(text: str, lenient: bool = False) -> Scenario:
             "scenario needs frequency_hz/frequency_ghz or an alphabet with a nominal frequency"
         )
 
-    kind = sc.get("criterion", "uacp").strip().lower()
-    if kind == "uacp":
-        criterion = DesignCriterion.uacp()
-    elif kind == "uadp":
-        if "levels" not in sc:
-            raise ScenarioParseError("uadp criterion needs 'levels'")
-        criterion = DesignCriterion.uadp(sc.getint("levels"))
-    elif kind == "uaep":
-        if alphabet is None:
-            raise ScenarioParseError("uaep criterion needs 'alphabet'")
-        criterion = DesignCriterion.uaep(alphabet)
-    elif kind == "alphabet":
-        if alphabet is None:
-            raise ScenarioParseError("alphabet criterion needs 'alphabet'")
-        criterion = DesignCriterion.from_alphabet(alphabet)
-    elif kind == "specular":
-        criterion = DesignCriterion.specular()
-    elif kind == "diffuser":
-        criterion = DesignCriterion.diffuser(sc.getint("seed", 0))
-    else:
-        raise ScenarioParseError(f"unknown criterion {kind!r}")
-
     step = 0.1
     if "sweep" in cp:
         sw = cp["sweep"]
@@ -312,7 +261,16 @@ def parse_scenario(text: str, lenient: bool = False) -> Scenario:
                 float(v) for v in it["angles_deg"].replace(",", " ").split()
             )
 
+    kind = sc.get("criterion", "uacp").strip().lower()
     try:
+        # each field only for the kind that uses it, so that the result
+        # equals the matching DesignCriterion constructor's
+        criterion = DesignCriterion(
+            kind,
+            levels=sc.getint("levels") if kind == "uadp" else None,
+            alphabet=alphabet if kind in ("uaep", "alphabet") else None,
+            seed=sc.getint("seed", 0) if kind == "diffuser" else None,
+        )
         return Scenario(
             frequency=frequency,
             criterion=criterion,

@@ -83,6 +83,52 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "elements" in err
 
+    @pytest.mark.parametrize(
+        "alphabet, named",
+        [("bogus", "bogus"), ("file:missing.csv", "missing.csv")],
+    )
+    def test_unusable_alphabet_exit_2(self, tmp_path, capsys, alphabet, named):
+        path = tmp_path / "s.ini"
+        path.write_text(f"[scenario]\nalphabet = {alphabet}\ncriterion = uaep\nfrequency_ghz = 2.3\n")
+        rc = main(["run", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "alphabet" in err[0] and named in err[0]
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("frequency_ghz", "nan", "frequency"),
+            ("frequency_ghz", "inf", "frequency"),
+            ("aperture_m", "nan", "aperture"),
+            ("pitch_divisor", "inf", "pitch_divisor"),
+            ("near_radius_m", "nan", "near_radius"),
+            ("p_tx_w", "-1", "p_tx"),
+            ("p_tx_w", "0", "p_tx"),
+            ("step_deg", "0", "sweep_step"),
+            ("step_deg", "nan", "sweep_step"),
+        ],
+    )
+    def test_bad_number_exit_2(self, tmp_path, capsys, key, value, field):
+        lines = SCENARIO_TEXT.splitlines()
+        if any(line.startswith(f"{key} =") for line in lines):
+            lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
+        else:
+            lines.insert(1, f"{key} = {value}")
+        path = tmp_path / "s.ini"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["run", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert field in err[0]
+
+    def test_bad_step_override_exit_2(self, tmp_path, scenario_file, capsys):
+        rc = main(["run", str(scenario_file), "--out", str(tmp_path / "o"), "--step", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_step_override(self, tmp_path, scenario_file):
         out = tmp_path / "out"
         main(["run", str(scenario_file), "--out", str(out), "--step", "10"])

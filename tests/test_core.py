@@ -135,6 +135,11 @@ class TestWave:
         with pytest.raises(ValueError):
             Wave(0.0)
 
+    @pytest.mark.parametrize("frequency", [math.nan, math.inf])
+    def test_non_finite_frequency(self, frequency):
+        with pytest.raises(ValueError, match="finite"):
+            Wave(frequency)
+
 
 class TestTerminal:
     def test_must_be_above_surface(self):

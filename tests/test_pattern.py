@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rispattern import (
-    BeamMetrics,
     ChannelPair,
     NearFieldRadiusWarning,
     PatternTrace,
@@ -77,6 +76,12 @@ class TestSweepSpec:
             SweepSpec(step=0.0)
         with pytest.raises(ValueError):
             SweepSpec(fixed_radius=-1.0)
+
+    @pytest.mark.parametrize("field", ["step", "fixed_radius"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(**{field: value})
 
     def test_rx_arc_position(self):
         x, y, z = rx_arc_position(10.0, 30.0)
@@ -239,12 +244,3 @@ class TestMetrics:
         assert angle == pytest.approx(30.0)
         with pytest.raises(ValueError):
             trace.peak_near(0.45, window=0.1)
-
-
-class TestBeamMetricsContainer:
-    def test_power_at_delegates(self):
-        trace = PatternTrace(
-            angles=np.array([0.0, 1.0, 2.0]), power=np.array([1.0, 3.0, 1.0])
-        )
-        m = BeamMetrics(peak_angle=1.0, peak_power=3.0, sidelobes=(), trace=trace)
-        assert m.power_at(1.0) == 3.0

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,6 @@ from rispattern import (
     DesignCriterion,
     Scenario,
     parse_scenario,
-    run_grid,
     run_scenario,
 )
 from rispattern.core import SPEED_OF_LIGHT
@@ -58,6 +60,14 @@ class TestScenarioGeometry:
             small_scenario(pitch_divisor=0.0)
         with pytest.raises(ValueError):
             small_scenario(near_radius=-1.0)
+
+    @pytest.mark.parametrize(
+        "field", ["frequency", "pitch_divisor", "aperture", "near_radius", "sweep_step", "p_tx"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_and_non_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_scenario(**{field: value})
 
 
 class TestRunScenario:
@@ -113,28 +123,24 @@ class TestRunScenario:
         s = small_scenario(criterion=DesignCriterion.from_alphabet(builtin("omni3p6")))
         assert run_scenario(s).report is not None
 
+    def test_sweep_warnings_reach_the_caller(self, monkeypatch):
+        from rispattern import scenario as scenario_module
 
-class TestRunGrid:
-    def test_empty(self):
-        bundle = run_grid([])
-        assert bundle.entries == ()
-        assert bundle.all_ok
+        real_sweep = scenario_module.sweep
 
-    def test_mixed_success_and_failure(self):
-        good = small_scenario()
-        bad = small_scenario(aperture=1.0, pitch_divisor=8.0, frequency=33e9)
-        bundle = run_grid([good, bad, good], element_budget=10_000)
-        assert [e.ok for e in bundle.entries] == [True, False, True]
-        assert not bundle.all_ok
-        assert "ElementBudgetError" in bundle.entries[1].error
+        def warning_sweep(*args, **kwargs):
+            warnings.warn("from inside the sweep", RuntimeWarning)
+            return real_sweep(*args, **kwargs)
 
-    def test_duplicate_scenarios_both_run(self):
-        s = small_scenario()
-        bundle = run_grid([s, s])
-        assert bundle.all_ok
-        assert np.array_equal(
-            bundle.entries[0].result.trace.power, bundle.entries[1].result.trace.power
-        )
+        monkeypatch.setattr(scenario_module, "sweep", warning_sweep)
+        with pytest.warns(RuntimeWarning, match="inside the sweep"):
+            run_scenario(small_scenario())
+
+    def test_near_run_hides_only_the_radius_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = run_scenario(small_scenario(field_regime="near", near_radius=0.5))
+        assert r.trace.metadata["radius_m"] == 0.5
 
 
 VALID_TEXT = """\
