@@ -40,8 +40,8 @@ class RisGeometry:
     def __post_init__(self):
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError(f"grid must have >= 1 row and column, got {self.n_rows}x{self.n_cols}")
-        if self.pitch_x <= 0 or self.pitch_y <= 0:
-            raise ValueError(f"pitches must be positive, got ({self.pitch_x}, {self.pitch_y})")
+        if not all(math.isfinite(p) and p > 0 for p in (self.pitch_x, self.pitch_y)):
+            raise ValueError(f"pitches must be positive and finite, got ({self.pitch_x}, {self.pitch_y})")
 
     @property
     def n_elements(self) -> int:

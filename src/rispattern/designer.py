@@ -1,11 +1,18 @@
 """Surface configuration design: closed-form phase matching, baselines, and
 alternating optimization over an arbitrary finite reflection alphabet.
 
-The alternating optimizer sweeps the elements in row-major order and, for
-each one, evaluates the exact quadratic objective contribution of every
-alphabet entry against the field sum of all other elements.  That sum is
-maintained incrementally (subtract old term, add new) and recomputed from
-scratch at the end of each sweep to cap rounding drift.
+The alternating optimizer sweeps the elements in row-major order and gives
+each one the alphabet entry that maximizes the exact quadratic objective
+against the field sum of all other elements, changing it only on a strict
+improvement.  Between two such updates the field total does not move, so
+every element's scores are a function of that one total.  The optimizer
+therefore scores a block of consecutive elements against the fixed total in
+one vectorized step, applies the first strict improvement in the block,
+moves the total by that element's change alone, and resumes just after it.
+That makes the decisions of a one-element-at-a-time loop; what it drops is
+re-adding an unchanged element's term to the total, which only rounds.
+A block grows while it holds no update and shrinks after one.  The total is
+recomputed from scratch at the end of each sweep to cap rounding drift.
 """
 
 from __future__ import annotations
@@ -52,6 +59,12 @@ class OptimizerReport:
     converged: bool
     tolerance_used: float
     element_update_count: int
+    updates_per_sweep: list[int]  # sums to element_update_count
+
+
+# Bounds on the number of elements the optimizer scores in one step.
+_BLOCK_MIN = 16
+_BLOCK_MAX = 1024
 
 
 def _target_phase(pair: ChannelPair) -> np.ndarray:
@@ -149,7 +162,9 @@ def optimize_alternating(
                 best = run
         return best
     values = alphabet.values
+    value_abs2 = np.abs(values) ** 2
     gh = (pair.g * pair.h).ravel()
+    gh_abs2 = np.abs(gh) ** 2
     n_el = gh.size
 
     if init is not None:
@@ -160,7 +175,8 @@ def optimize_alternating(
         idx = np.zeros(n_el, dtype=int)
     gamma = values[idx]
 
-    total = np.sum(gh * gamma)
+    terms = gh * gamma
+    total = np.sum(terms)
     f0 = abs(total) ** 2
     if epsilon is None:
         epsilon = 1e-6 * f0
@@ -168,23 +184,40 @@ def optimize_alternating(
         raise ValueError(f"tolerance must be >= 0, got {epsilon}")
 
     trace = [f0]
-    update_count = 0
+    updates_per_sweep = []
     converged = False
-    gh_abs2 = np.abs(gh) ** 2
+    rows = np.arange(_BLOCK_MAX)
+    block = _BLOCK_MIN
     for _ in range(max_sweeps):
-        for i in range(n_el):
-            alpha = total - gh[i] * gamma[i]
-            scores = np.abs(values) ** 2 * gh_abs2[i] + 2.0 * np.real(
-                values * gh[i] * np.conj(alpha)
-            )
-            best = int(np.argmax(scores))
-            if best != idx[i] and scores[best] > scores[idx[i]]:
-                idx[i] = best
-                gamma[i] = values[best]
-                update_count += 1
-            total = alpha + gh[i] * gamma[i]
+        updates = 0
+        start = 0
+        while start < n_el:
+            # the total is fixed until the next update, so score the run-up to
+            # it in one step: every element against the same total
+            stop = min(start + block, n_el)
+            alpha = total - terms[start:stop]
+            scores = value_abs2 * gh_abs2[start:stop, None] + 2.0 * (
+                values * gh[start:stop, None] * alpha.conj()[:, None]
+            ).real
+            current = scores[rows[: stop - start], idx[start:stop]]
+            better = np.flatnonzero(scores.max(1) > current)
+            if better.size == 0:
+                start = stop
+                block = min(2 * block, _BLOCK_MAX)
+                continue
+            # terms[i] goes stale here, but this sweep does not come back to i
+            row = better[0]
+            i = start + row
+            idx[i] = np.argmax(scores[row])
+            gamma[i] = values[idx[i]]
+            total = alpha[row] + gh[i] * gamma[i]
+            updates += 1
+            start = i + 1
+            block = max(block // 4, _BLOCK_MIN)
+        updates_per_sweep.append(updates)
         # full recompute per sweep caps incremental rounding drift
-        total = np.sum(gh * gamma)
+        terms = gh * gamma
+        total = np.sum(terms)
         f_new = abs(total) ** 2
         trace.append(f_new)
         if abs(f_new - trace[-2]) <= epsilon:
@@ -202,7 +235,8 @@ def optimize_alternating(
         objective_trace=trace,
         converged=converged,
         tolerance_used=epsilon,
-        element_update_count=update_count,
+        element_update_count=sum(updates_per_sweep),
+        updates_per_sweep=updates_per_sweep,
     )
     return config, report
 
@@ -212,17 +246,15 @@ def is_coordinatewise_optimal(
 ) -> bool:
     """True if no single-element substitution from the alphabet strictly
     increases the objective."""
-    values = alphabet.values
     gh = (pair.g * pair.h).ravel()
-    gamma = config.gamma.ravel()
-    total = np.sum(gh * gamma)
+    terms = gh * config.gamma.ravel()
+    total = np.sum(terms)
     current = abs(total) ** 2
-    for i in range(gh.size):
-        alpha = total - gh[i] * gamma[i]
-        best = np.max(np.abs(alpha + gh[i] * values) ** 2)
-        if best > current * (1.0 + 1e-12):
-            return False
-    return True
+    # the objective with each element in turn set to v, all others kept; one
+    # entry at a time, so that memory stays O(elements)
+    alpha = total - terms
+    bound = current * (1.0 + 1e-12)
+    return not any(np.any(np.abs(alpha + gh * v) ** 2 > bound) for v in alphabet.values)
 
 
 def design_for_criterion(

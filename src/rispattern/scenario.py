@@ -59,6 +59,9 @@ class Scenario:
     def __post_init__(self):
         if not (-90.0 < self.target_angle < 90.0):
             raise ValueError(f"target angle must be in (-90, 90), got {self.target_angle}")
+        for angle in self.interferer_angles:
+            if not (-90.0 < angle < 90.0):
+                raise ValueError(f"interferer angle must be in (-90, 90), got {angle}")
         for name in ("frequency", "pitch_divisor", "aperture", "near_radius", "sweep_step", "p_tx"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

@@ -124,6 +124,16 @@ class TestRunCommand:
         assert len(err) == 1 and err[0].startswith("error:")
         assert field in err[0]
 
+    @pytest.mark.parametrize("angles", ["95", "-15, -90", "nan"])
+    def test_interferer_angle_out_of_range_exit_2(self, tmp_path, capsys, angles):
+        path = tmp_path / "s.ini"
+        path.write_text(SCENARIO_TEXT + f"\n[interference]\nangles_deg = {angles}\n")
+        rc = main(["run", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "interferer angle" in err[0]
+
     def test_bad_step_override_exit_2(self, tmp_path, scenario_file, capsys):
         rc = main(["run", str(scenario_file), "--out", str(tmp_path / "o"), "--step", "0"])
         assert rc == 2

@@ -68,6 +68,13 @@ class TestElementCenters:
         with pytest.raises(ValueError):
             RisGeometry(1, 1, -0.1, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pitch_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RisGeometry(2, 2, bad, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            RisGeometry(2, 2, 0.1, bad)
+
 
 class TestDistanceAndAngle:
     def test_broadside(self):

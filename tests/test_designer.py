@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,53 @@ def brute_force_best(pair, alphabet):
         if val > best:
             best = val
     return best
+
+
+def _reference_alternating(pair, alphabet, init=None, epsilon=None, max_sweeps=100):
+    """The per-element coordinate ascent that the block scan replaced, kept
+    as its oracle: one element at a time, the running total updated on every
+    visit.  Returns (indices, trace, updates per sweep, converged)."""
+    values = alphabet.values
+    gh = (pair.g * pair.h).ravel()
+    n_el = gh.size
+
+    if init is not None:
+        idx = init.alphabet_indices.ravel().copy()
+    else:
+        idx = np.zeros(n_el, dtype=int)
+    gamma = values[idx]
+
+    total = np.sum(gh * gamma)
+    f0 = abs(total) ** 2
+    if epsilon is None:
+        epsilon = 1e-6 * f0
+
+    trace = [f0]
+    update_count = 0
+    updates_per_sweep = []
+    converged = False
+    gh_abs2 = np.abs(gh) ** 2
+    for _ in range(max_sweeps):
+        for i in range(n_el):
+            alpha = total - gh[i] * gamma[i]
+            scores = np.abs(values) ** 2 * gh_abs2[i] + 2.0 * np.real(
+                values * gh[i] * np.conj(alpha)
+            )
+            best = int(np.argmax(scores))
+            if best != idx[i] and scores[best] > scores[idx[i]]:
+                idx[i] = best
+                gamma[i] = values[best]
+                update_count += 1
+            total = alpha + gh[i] * gamma[i]
+        updates_per_sweep.append(update_count - sum(updates_per_sweep))
+        # full recompute per sweep caps incremental rounding drift
+        total = np.sum(gh * gamma)
+        f_new = abs(total) ** 2
+        trace.append(f_new)
+        if abs(f_new - trace[-2]) <= epsilon:
+            converged = True
+            break
+    return idx.reshape(pair.g.shape), trace, updates_per_sweep, converged
 
 
 class TestUacp:
@@ -203,6 +251,82 @@ class TestAlternatingOptimizer:
         for name in ("mmwave33", "omni3p6", "varactor5g"):
             config, _ = optimize_alternating(pair, builtin(name))
             assert received_power(pair, config) <= p_uacp * (1 + 1e-12)
+
+
+# (grid, tx, rx, alphabet, random start, epsilon, max_sweeps)
+ORACLE_CASES = {
+    "1x1": (1, 1, (0, 0, 50.0), (20.0, 5.0, 40.0), "omni3p6", False, None, 100),
+    "on-axis": (15, 15, (0, 0, 1.5), (0, 0, 0.6), "testbed2p3", False, None, 100),
+    "on-axis-uadp4": (14, 14, (0, 0, 1.5), (0, 0, 0.6), uadp_set(4), True, None, 100),
+    "mirror-xz": (12, 7, (-6.0, 0, 20.0), (6.0, 0, 20.0), "varactor5g", True, None, 100),
+    "eps0-capped": (10, 10, (0, 0, 50.0), (15.0, -4.0, 9.0), "varactor5g", False, 0.0, 2),
+    "eps-huge": (6, 11, (3.0, 2.0, 30.0), (-9.0, 1.0, 14.0), "mmwave27", True, 1e12, 100),
+    "over-1024": (41, 37, (0, 0, 40.0), (4.0, 0, 3.0), "varactor5g", False, None, 100),
+    "over-1024-random": (40, 40, (0, 0, 25.0), (10.0, 3.0, 6.0), uadp_set(8), True, None, 100),
+}
+
+
+class TestBlockScanOracle:
+    """The block scan makes the per-element loop's decisions exactly."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_per_element_loop(self, case):
+        n, m, tx, rx, alph, random_start, epsilon, max_sweeps = ORACLE_CASES[case]
+        alph = builtin(alph) if isinstance(alph, str) else alph
+        pair = make_pair(n, m, tx=tx, rx=rx, d=0.02)
+        init = None
+        if random_start:
+            rng = np.random.default_rng(sum(map(ord, case)))
+            idx0 = rng.integers(0, len(alph.values), size=(n, m))
+            init = SurfaceConfig(
+                alph.values[idx0], DesignCriterion.from_alphabet(alph), alphabet_indices=idx0
+            )
+        idx, trace, per_sweep, converged = _reference_alternating(
+            pair, alph, init, epsilon, max_sweeps
+        )
+        config, report = optimize_alternating(pair, alph, init, epsilon, max_sweeps)
+        assert np.array_equal(config.alphabet_indices, idx)
+        assert report.objective_trace == trace
+        assert report.updates_per_sweep == per_sweep
+        assert report.element_update_count == sum(per_sweep)
+        assert report.iterations == len(trace) - 1
+        assert report.converged == converged
+
+    def test_restart_from_optimum_scans_without_updates(self):
+        # no update anywhere: every block grows, up to the cap, in one sweep
+        pair = make_pair(41, 37, tx=(0, 0, 40.0), rx=(4.0, 0, 3.0), d=0.02)
+        alph = builtin("varactor5g")
+        config, _ = optimize_alternating(pair, alph)
+        again, report = optimize_alternating(pair, alph, init=config)
+        assert report.updates_per_sweep == [0]
+        assert np.array_equal(again.alphabet_indices, config.alphabet_indices)
+
+
+class TestUpdatesPerSweep:
+    def test_first_sweep_does_most_updates(self):
+        pair = make_pair(12, 12, rx=(30.0, -10.0, 25.0))
+        _, report = optimize_alternating(pair, builtin("varactor5g"))
+        per_sweep = report.updates_per_sweep
+        assert len(per_sweep) == report.iterations > 1
+        assert sum(per_sweep) == report.element_update_count
+        assert per_sweep[0] > sum(per_sweep[1:])
+
+
+class TestCoordinatewiseOptimal:
+    def test_only_last_element_improvable(self):
+        # gh = 1, 1, 1, 0.01 and the last element opposed: setting it to the
+        # last entry gains 2 * 0.01 * 3, changing any other loses
+        pair = replace(
+            make_pair(2, 2), g=np.array([[1.0, 1.0], [1.0, 0.01]], dtype=complex),
+            h=np.ones((2, 2), dtype=complex),
+        )
+        alph = uadp_set(2)
+        idx = np.array([[1, 1], [1, 0]])
+        config = SurfaceConfig(alph.values[idx], DesignCriterion.uadp(2), alphabet_indices=idx)
+        assert not is_coordinatewise_optimal(pair, config, alph)
+        idx[1, 1] = 1
+        config = SurfaceConfig(alph.values[idx], DesignCriterion.uadp(2), alphabet_indices=idx)
+        assert is_coordinatewise_optimal(pair, config, alph)
 
 
 class TestSurfaceConfig:
