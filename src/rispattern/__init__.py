@@ -14,7 +14,6 @@ from .alphabet import (
 )
 from .channel import (
     ChannelPair,
-    achievable_rate,
     field_sum,
     received_power,
     sinc,

@@ -1,4 +1,4 @@
-"""Cascaded free-space channel: one exact per-element field kernel.
+"""Cascaded free-space channel: one per-element field kernel.
 
 The received field is a coherent sum over the N x M elements of gamma_nm
 times a tx-side factor g_nm and an rx-side factor h_nm.  Each factor
@@ -23,6 +23,32 @@ last place.  numpy 2 on x86-64 has a SIMD float64 tan but evaluates float64
 sin and cos element by element: about 2 ns against 13-33 ns per element on
 an AVX-512 Xeon.
 
+A sweep does not need the rx factor at every column.  For a fixed element
+row n and receiver position, K_n(y) = sinc_x sinc_y amp exp(-jkr) is an
+analytic, slowly varying function of the column coordinate y: in the far
+field its phase changes by about k (D/2)^2 / (2R) ~ 0.1 rad across the
+aperture (Balanis, Antenna Theory, Fresnel-region array factor).  So it is
+interpolated on r Chebyshev nodes eta_j spanning the columns,
+
+    F = sum_n sum_m w_nm K_n(y_m) ~ sum_n sum_j K_n(eta_j) b_nj,
+    b = w @ L,  L[m, j] = l_j(y_m)  (barycentric Lagrange basis, M x r),
+
+and K at the nodes comes from the same `_illuminate` and `_rx_terms`, run on
+an illumination whose columns are the nodes.  The real-column kernel is the
+same code with the columns as nodes and b = w.  The per-angle work falls from
+O(N*M) to O(N*r).  r is chosen per sweep and checked against the real
+columns at run time: the counts of `_NODE_COUNTS` with 2r <= M are tried in
+turn, the first whose power matches the real columns within `_NODE_TOL` of
+the largest checked power at the sweep's first, middle and last positions
+runs the sweep, and the real-column power at the trace peak is checked
+after it.  If no count passes, or the peak check fails, the sweep runs on
+the real columns.  A sweep of at most `_WORKERS` chunks always does: its
+chunks run in one round, about as long as the checks would take.  The node
+path, checks included, runs in chunks of half the element-angles of a
+real-column chunk, so it needs less memory than the real columns.
+Near-field arcs go through the same rule; they need more nodes (24 on the
+5 m benchmark arc against 8 or 12 far away).
+
 Memory is bounded whatever the grid: a sweep is processed in chunks of
 angles (of element rows at one angle, when one angle over the whole grid is
 too big) whose live temporaries, summed over the `_WORKERS` chunks in flight,
@@ -30,7 +56,8 @@ stay within `_CHUNK_BUDGET` bytes, so a sweep needs that budget plus O(N*M)
 for the weights and tx-side terms.  The budget is small enough that a chunk
 stays in a core's cache, which is faster than fewer, larger chunks.  A sweep
 of more than one chunk runs its chunks on two threads of its own (numpy
-releases the GIL inside its ufuncs and BLAS calls).  Each chunk writes only
+releases the GIL inside its ufuncs and BLAS calls); the checks of the node
+path run on them as well.  Each chunk writes only
 its own slice of the output, its partial sums over element rows are added in
 a fixed order, and the chunking depends only on the grid shape, not on the
 CPU count, so reruns are bit for bit identical.
@@ -62,6 +89,15 @@ _CHUNK_BUDGET = 4 * 2**20
 # the machine's CPU count.  On a 2-vCPU x86-64 box two threads cut the far-sweep benchmark's
 # wall time by 28% against one; larger counts were not measured.
 _WORKERS = 2
+
+# Chebyshev node counts that a sweep tries, in order, for the rx factor's
+# column dependence; a count is tried only while it is at most half the
+# column count.
+_NODE_COUNTS = (8, 12, 16, 24, 32, 48, 64)
+
+# Largest |node power - real-column power| that a sweep accepts at a checked
+# position, as a share of the largest checked power.
+_NODE_TOL = 1e-10
 
 
 def _sinc_half(h: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -163,8 +199,9 @@ class _Illumination:
         )
 
 
-def _illuminate(geom: RisGeometry, wave: Wave, tx: Terminal) -> _Illumination:
-    x, y = geom.x_centers, geom.y_centers
+def _illuminate(geom: RisGeometry, wave: Wave, tx: Terminal, y: np.ndarray) -> _Illumination:
+    """Tx-side terms over the element rows of geom and the columns at y."""
+    x = geom.x_centers
     k = wave.wavenumber
     hx = k * geom.pitch_x / 4.0
     hy = k * geom.pitch_y / 4.0
@@ -220,25 +257,29 @@ def _block_sums(block: _Illumination, w_block: np.ndarray, pos: np.ndarray):
     return w_block @ c.reshape(len(pos), -1).T, w_block @ s.reshape(len(pos), -1).T
 
 
-def _received_powers(
-    geom: RisGeometry,
-    wave: Wave,
-    tx: Terminal,
-    gamma: np.ndarray,
+def _powers(
+    ill: _Illumination,
+    w: np.ndarray,
     rx_positions: np.ndarray,
     p_tx: float,
+    pool=None,
+    chunk_elements: int | None = None,
 ) -> np.ndarray:
-    """Received power p_tx |sum g gamma h|^2 at each of the rx positions
-    (A, 3), for an isotropic receiver."""
-    ill = _illuminate(geom, wave, tx)
-    weight = gamma * (ill.re - 2j * ill.im_half) * (geom.pitch_x * geom.pitch_y / FOUR_PI**2)
-    w = np.stack([weight.real, weight.imag])
+    """p_tx |sum_nm (w[0] + 1j w[1])_nm K_n(pos, y_m)|^2 at each of the rx
+    positions (A, 3), where y_m are the columns of ill and K is its
+    isotropic rx factor.  The chunks run on pool if one is given, else one
+    after another; chunk_elements, if given, caps the element-angles of a
+    chunk."""
+    n_rows, n_cols = w.shape[1:]
     n_pos = len(rx_positions)
     out = np.empty(n_pos)
-    angles, grid_rows = _chunk_shape(geom.n_rows, geom.n_cols)
+    angles, grid_rows = _chunk_shape(n_rows, n_cols)
+    if chunk_elements is not None:
+        grid_rows = max(1, min(grid_rows, chunk_elements // n_cols))
+        angles = max(1, min(angles, chunk_elements // (grid_rows * n_cols)))
     blocks = [
         (ill.rows(sl), w[:, sl].reshape(2, -1))
-        for sl in (slice(n, n + grid_rows) for n in range(0, geom.n_rows, grid_rows))
+        for sl in (slice(n, n + grid_rows) for n in range(0, n_rows, grid_rows))
     ]
 
     def run(start: int) -> None:
@@ -252,16 +293,112 @@ def _received_powers(
         out[start : start + len(pos)] = p_tx * (re * re + im * im)
 
     starts = range(0, n_pos, angles)
-    if len(starts) == 1:
-        run(0)
+    if pool is None:
+        for start in starts:
+            run(start)
     else:
-        # imported here: it adds ~7 ms to importing the package, and many
-        # runs never sweep more than one chunk
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(_WORKERS) as pool:
-            list(pool.map(run, starts))
+        list(pool.map(run, starts))
     return out
+
+
+def _chebyshev_basis(y: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """r Chebyshev nodes (first kind) spanning the columns y, and the (M, r)
+    matrix of their Lagrange basis polynomials at y, in barycentric form."""
+    theta = (2.0 * np.arange(r) + 1.0) * (np.pi / (2.0 * r))
+    nodes = 0.5 * (y[0] + y[-1]) + 0.5 * (y[-1] - y[0]) * np.cos(theta)
+    diff = y[:, None] - nodes
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    basis = np.where(np.arange(r) % 2, -1.0, 1.0) * np.sin(theta) / diff
+    basis /= basis.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    basis[on_node] = hit[on_node]
+    return nodes, basis
+
+
+def _check_error(approx: np.ndarray, exact: np.ndarray) -> float:
+    """max |approx - exact| as a share of max(exact)."""
+    diff = np.max(np.abs(approx - exact))
+    return float(diff / np.max(exact)) if diff else 0.0
+
+
+def _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, pool, meta):
+    """The powers of `_received_powers` on the first node count that passes
+    both checks, or None if none does."""
+    counts = [r for r in _NODE_COUNTS if 2 * r <= geom.n_cols]
+    if not counts:
+        return None
+    # the node path, checks included, runs in chunks of half the
+    # element-angles of a real-column chunk, so it needs less memory than the
+    # real columns; on the benchmark grids its sweeps ran within the noise of
+    # whole chunks or faster
+    angles, grid_rows = _chunk_shape(geom.n_rows, geom.n_cols)
+    chunk_elements = angles * grid_rows * geom.n_cols // 2
+    checked = [0, len(rx_positions) // 2, len(rx_positions) - 1]
+    exact = _powers(ill, w, rx_positions[checked], p_tx, pool, chunk_elements)
+    for r in counts:
+        nodes, basis = _chebyshev_basis(ill.y, r)
+        node_ill = _illuminate(geom, wave, tx, nodes)
+        node_w = w @ basis
+        node_checked = _powers(node_ill, node_w, rx_positions[checked], p_tx, pool, chunk_elements)
+        if not _check_error(node_checked, exact) <= _NODE_TOL:
+            continue
+        power = _powers(node_ill, node_w, rx_positions, p_tx, pool, chunk_elements)
+        peak = int(np.argmax(power))
+        checked.append(peak)
+        peak_exact = _powers(ill, w, rx_positions[peak : peak + 1], p_tx, pool, chunk_elements)
+        exact = np.append(exact, peak_exact)
+        err = _check_error(power[checked], exact)
+        if not err <= _NODE_TOL:
+            return None
+        meta.update(kernel_columns=r, kernel_check_err=err)
+        return power
+    return None
+
+
+def _received_powers(
+    geom: RisGeometry,
+    wave: Wave,
+    tx: Terminal,
+    gamma: np.ndarray,
+    rx_positions: np.ndarray,
+    p_tx: float,
+    meta: dict | None = None,
+) -> np.ndarray:
+    """Received power p_tx |sum g gamma h|^2 at each of the rx positions
+    (A, 3), for an isotropic receiver.
+
+    A sweep of more than _WORKERS chunks evaluates the rx factor at the
+    first count of _NODE_COUNTS Chebyshev nodes in y that matches the real
+    columns at its first, middle and last positions and then at its peak,
+    and otherwise at the real columns (see the module docstring).  If meta
+    is given, it receives kernel_columns, the node count or n_cols for the
+    real columns, and kernel_check_err, the worst checked error as a share
+    of the largest checked power (0.0 for the real columns).
+    """
+    meta = {} if meta is None else meta
+    meta.update(kernel_columns=geom.n_cols, kernel_check_err=0.0)
+    ill = _illuminate(geom, wave, tx, geom.y_centers)
+    weight = gamma * (ill.re - 2j * ill.im_half) * (geom.pitch_x * geom.pitch_y / FOUR_PI**2)
+    w = np.stack([weight.real, weight.imag])
+    del weight  # only the real pair stays alive while the sweep runs
+    angles = _chunk_shape(geom.n_rows, geom.n_cols)[0]
+    if len(rx_positions) <= angles:
+        return _powers(ill, w, rx_positions, p_tx)
+    # imported here: it adds ~7 ms to importing the package, and many runs
+    # never sweep more than one chunk
+    from concurrent.futures import ThreadPoolExecutor
+
+    # the checks run on the sweep's threads as well, so their temporaries
+    # reuse the memory of the sweep's chunks
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        # a sweep of at most _WORKERS chunks takes the real columns: its
+        # chunks run in one round, which takes about as long as the checks
+        if len(rx_positions) > _WORKERS * angles:
+            power = _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, pool, meta)
+            if power is not None:
+                return power
+        return _powers(ill, w, rx_positions, p_tx, pool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +414,7 @@ class ChannelPair:
 
     @classmethod
     def compute(cls, geom: RisGeometry, wave: Wave, tx: Terminal, rx: Terminal):
-        ill = _illuminate(geom, wave, tx)
+        ill = _illuminate(geom, wave, tx, geom.y_centers)
         sinc_x, re, im_half = _rx_terms(ill, np.array([rx.position]), rx.gain_pattern)
         return cls(
             g=(ill.re - 2j * ill.im_half) * sinc_x[0] * (geom.pitch_x / FOUR_PI),
@@ -305,10 +442,3 @@ def field_sum(pair: ChannelPair, config) -> complex:
 def received_power(pair: ChannelPair, config, p_tx: float = 1.0) -> float:
     """Received power p_tx * |sum g gamma h|^2 in watts."""
     return p_tx * abs(field_sum(pair, config)) ** 2
-
-
-def achievable_rate(pair: ChannelPair, config, p_tx: float, noise_power: float) -> float:
-    """Rate per unit bandwidth, log2(1 + SNR), in bits/s/Hz."""
-    if noise_power <= 0:
-        raise ValueError(f"noise power must be positive, got {noise_power}")
-    return float(np.log2(1.0 + received_power(pair, config, p_tx) / noise_power))

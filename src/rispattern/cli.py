@@ -127,15 +127,19 @@ def cmd_run(args) -> int:
             os.path.join(args.out, "gamma_amplitude.csv"),
         )
 
+    meta = result.trace.metadata
     manifest = {
         "tool_version": __version__,
         "scenario_digest": canonical_digest(text),
         "seed": args.seed,
         "runtime_s": round(runtime, 6),
         "outputs": [os.path.basename(p) for p in outputs],
-        "grid": list(result.trace.metadata["grid"]),
-        "criterion": result.trace.metadata["criterion"],
+        "grid": list(meta["grid"]),
+        "criterion": meta["criterion"],
         "peak_angle_deg": result.metrics.peak_angle,
+        "step_deg": meta["step_deg"],
+        "kernel_columns": meta["kernel_columns"],
+        "kernel_check_err": meta["kernel_check_err"],
     }
     _atomic_write(
         os.path.join(args.out, "manifest.json"),

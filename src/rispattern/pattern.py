@@ -6,12 +6,20 @@ fixed radius (near-field studies) or the module's far-field default.  The
 illumination is held fixed, so sweeping a frozen configuration under an
 off-nominal transmitter doubles as the interference study.
 
-Every sweep point is evaluated exactly, per element, by the same kernel that
-builds `ChannelPair` (see the channel module): the power at each angle
-equals `received_power` of the pointwise channel up to rounding.  The
-kernel works through the angles in chunks whose temporaries stay within a
-fixed byte budget, so a sweep's peak memory is that budget plus O(N*M)
-whatever the grid; reruns repeat bit for bit.
+Every sweep point comes from the same per-element kernel that builds
+`ChannelPair` (see the channel module).  A sweep of more than two chunks
+evaluates each element row's rx factor on a few Chebyshev interpolation
+columns instead of on every column, and checks the result against the real
+columns at run time, at its first, middle, last and peak angles, to 1e-10
+of the largest checked power; if a check fails the sweep runs on the real
+columns, where each point equals `received_power` of the pointwise channel
+up to rounding.  The trace metadata
+records `kernel_columns` (the node count, or the column count),
+`kernel_check_err` (the worst checked error as a share of the checked peak)
+and `step_deg`, the angular step actually used.  The kernel works through
+the angles in chunks whose temporaries stay within a fixed byte budget, so
+a sweep's peak memory is that budget plus O(N*M) whatever the grid; reruns
+repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -148,7 +156,6 @@ def sweep(
     gamma = np.asarray(getattr(config, "gamma", config))
     if gamma.shape != (geom.n_rows, geom.n_cols):
         raise ValueError(f"gamma shape {gamma.shape} does not match geometry")
-    power = _received_powers(geom, wave, tx, gamma, positions, p_tx)
     criterion = getattr(config, "criterion", None)
     meta = {
         "radius_m": radius,
@@ -158,7 +165,9 @@ def sweep(
         "criterion": criterion.label() if criterion is not None else "raw",
         "grid": (geom.n_rows, geom.n_cols),
         "pitch_m": (geom.pitch_x, geom.pitch_y),
+        "step_deg": float(angles[1] - angles[0]) if len(angles) > 1 else 0.0,
     }
+    power = _received_powers(geom, wave, tx, gamma, positions, p_tx, meta)
     return PatternTrace(angles=angles, power=power, metadata=meta)
 
 

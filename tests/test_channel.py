@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,17 @@ from hypothesis import given, strategies as st
 
 from rispattern import (
     ChannelPair,
+    DesignCriterion,
+    NearFieldRadiusWarning,
     RisGeometry,
+    Scenario,
     SweepSpec,
     Terminal,
     Wave,
-    achievable_rate,
     CosinePower,
+    builtin,
+    design_scenario,
+    interference_study,
     received_power,
     rx_arc_position,
     sinc,
@@ -226,26 +232,6 @@ class TestReceivedPower:
             assert np.all(np.abs(arr) > 0)
 
 
-class TestAchievableRate:
-    def setup_method(self):
-        self.pair, _ = single_element_pair()
-        self.gamma = np.ones((1, 1), complex)
-        self.p_unit = received_power(self.pair, self.gamma)
-
-    def test_snr_one_gives_one_bit(self):
-        assert achievable_rate(self.pair, self.gamma, 1.0, self.p_unit) == pytest.approx(1.0)
-
-    def test_zero_power_gives_zero(self):
-        assert achievable_rate(self.pair, np.zeros((1, 1), complex), 1.0, 1e-12) == 0.0
-
-    def test_snr_three_gives_two_bits(self):
-        assert achievable_rate(self.pair, self.gamma, 3.0, self.p_unit) == pytest.approx(2.0)
-
-    def test_noise_must_be_positive(self):
-        with pytest.raises(ValueError):
-            achievable_rate(self.pair, self.gamma, 1.0, 0.0)
-
-
 class TestFieldKernel:
     """The batched kernel against the scalar reference, off the y = 0 plane,
     on a non-square grid with odd and even sides and cosine-power gains."""
@@ -334,10 +320,128 @@ class TestChunking:
         spec = SweepSpec(step=0.5)
         tracemalloc.start()
         try:
-            sweep(geom, self.wave, tx, gamma, spec)
+            trace = sweep(geom, self.wave, tx, gamma, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert trace.metadata["kernel_columns"] < geom.n_cols  # the budget holds on the node path
         per_grid = 40 * geom.n_elements * 8
         assert len(spec.angles) * geom.n_elements * channel._BYTES_PER_ELEMENT_ANGLE > 10 * budget
         assert peak <= budget + per_grid
+
+
+def _far(criterion, target, pitch_divisor, frequency, aperture=1.0, **kw):
+    return Scenario(
+        frequency, criterion, target, pitch_divisor=pitch_divisor, aperture=aperture, sweep_step=0.5, **kw
+    )
+
+
+def _near(name, target):
+    alphabet = builtin(name)
+    return Scenario(
+        alphabet.nominal_frequency,
+        DesignCriterion.from_alphabet(alphabet),
+        target,
+        pitch_divisor=4,
+        field_regime="near",
+        near_radius=5.0,
+        sweep_step=0.5,
+    )
+
+
+# The far-field geometries of the acceptance suite (criteria 03-05, 09 and
+# 10) and the five near-arc alphabet designs of the benchmark, on a 0.5 deg
+# grid.  Criterion 10's 0.5 m UADP(2) grid is left out: its 15 columns are
+# fewer than twice the smallest node count, so it always takes the real
+# columns.
+NODE_SCENARIOS = {
+    "uadp2-2.3GHz-l8-45": _far(DesignCriterion.uadp(2), 45.0, 8, 2.3e9),
+    "uadp4-2.3GHz-l8-45": _far(DesignCriterion.uadp(4), 45.0, 8, 2.3e9),
+    "uacp-5.45GHz-l8-45": _far(DesignCriterion.uacp(), 45.0, 8, 5.45e9),
+    "uacp-5.45GHz-l8-75": _far(DesignCriterion.uacp(), 75.0, 8, 5.45e9),
+    "testbed2p3-l8-45": _far(
+        DesignCriterion.from_alphabet(builtin("testbed2p3")), 45.0, 8, 2.3e9, interferer_angles=(-15.0, -50.0)
+    ),
+    "uacp-2.3GHz-l4-75": _far(DesignCriterion.uacp(), 75.0, 4, 2.3e9),
+    "uacp-2.3GHz-l8-75": _far(DesignCriterion.uacp(), 75.0, 8, 2.3e9),
+    "uacp-2.3GHz-l32-75": _far(DesignCriterion.uacp(), 75.0, 32, 2.3e9),
+    **{f"{name}-near-{target:g}": _near(name, target) for name, target in [
+        ("varactor5g", 30.0), ("varactor5g", 45.0), ("varactor5g", 75.0), ("omni3p6", 45.0), ("omni3p6", 75.0)
+    ]},
+}
+
+
+def _node_traces(s):
+    """The scenario's nominal and interference traces."""
+    d = design_scenario(s, element_budget=None)
+    spec = SweepSpec(step=s.sweep_step, fixed_radius=d.rx_radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearFieldRadiusWarning)
+        traces = [sweep(d.geometry, s.wave, d.tx, d.config, spec)]
+        traces += [interference_study(d.geometry, s.wave, d.config, t, spec) for t in s.interferer_angles]
+    return traces
+
+
+class TestNodeKernel:
+    """Sweeps on Chebyshev interpolation columns against the real columns."""
+
+    @pytest.mark.parametrize("label", list(NODE_SCENARIOS))
+    def test_matches_real_columns(self, monkeypatch, label):
+        s = NODE_SCENARIOS[label]
+        node = _node_traces(s)
+        monkeypatch.setattr(channel, "_NODE_COUNTS", ())
+        real = _node_traces(s)
+        for a, b in zip(node, real):
+            n_cols = a.metadata["grid"][1]
+            assert a.metadata["kernel_columns"] < n_cols
+            assert 0.0 < a.metadata["kernel_check_err"] <= channel._NODE_TOL
+            assert b.metadata["kernel_columns"] == n_cols and b.metadata["kernel_check_err"] == 0.0
+            assert np.max(np.abs(a.power - b.power)) <= 1e-10 * b.power.max()
+
+    def test_failed_check_falls_back_bit_for_bit(self, monkeypatch):
+        s = NODE_SCENARIOS["uadp4-2.3GHz-l8-45"]
+        monkeypatch.setattr(channel, "_NODE_TOL", 0.0)
+        (fallback,) = _node_traces(s)
+        monkeypatch.setattr(channel, "_NODE_COUNTS", ())
+        (real,) = _node_traces(s)
+        assert fallback.metadata["kernel_columns"] == real.metadata["grid"][1]
+        assert fallback.metadata["kernel_check_err"] == 0.0
+        assert np.array_equal(fallback.power, real.power)
+
+    def test_rerun_bit_identical(self):
+        s = NODE_SCENARIOS["omni3p6-near-45"]
+        (first,) = _node_traces(s)
+        (second,) = _node_traces(s)
+        assert first.metadata["kernel_columns"] < first.metadata["grid"][1]
+        assert np.array_equal(first.power, second.power)
+
+    def test_sweep_of_one_round_uses_real_columns(self):
+        # up to _WORKERS chunks run in one round: no node path below that
+        geom = RisGeometry(40, 40, 0.02, 0.02)
+        one_round = channel._WORKERS * channel._chunk_shape(40, 40)[0]
+        columns = []
+        for count in (one_round, one_round + 1):
+            spec = SweepSpec(step=180.0 / (count - 1))
+            assert len(spec.angles) == count
+            trace = sweep(geom, Wave(10e9), Terminal((0.0, 0.0, 3.0)), np.ones((40, 40), complex), spec)
+            columns.append(trace.metadata["kernel_columns"])
+        assert columns[0] == 40 and columns[1] < 40
+
+    @pytest.mark.parametrize("r", [8, 9, 24])
+    def test_basis_reproduces_polynomials(self, r):
+        y = RisGeometry(3, 61, 0.01, 0.013).y_centers
+        nodes, basis = channel._chebyshev_basis(y, r)
+        assert basis.shape == (61, r)
+        assert np.all(nodes >= y[0]) and np.all(nodes <= y[-1])
+        u = y / y[-1]
+        for degree in range(r):
+            assert np.max(np.abs(basis @ (nodes / y[-1]) ** degree - u**degree)) <= 1e-12
+
+    def test_basis_column_on_a_node(self):
+        y0 = np.linspace(-0.3, 0.3, 9)
+        nodes, _ = channel._chebyshev_basis(y0, 8)
+        y = np.sort(np.append(y0, nodes[2]))
+        _, basis = channel._chebyshev_basis(y, 8)
+        row = basis[np.flatnonzero(y == nodes[2])[0]]
+        assert np.all(np.isfinite(basis))
+        assert np.array_equal(row, np.eye(8)[2])

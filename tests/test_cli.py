@@ -60,6 +60,30 @@ class TestRunCommand:
         assert "trace.csv" in manifest["outputs"]
         assert abs(manifest["peak_angle_deg"] - 45.0) < 5.0
 
+    def test_manifest_records_real_column_kernel(self, tmp_path, scenario_file):
+        # 181 angles over a ~11 x 11 grid are one chunk: the real columns run
+        out = tmp_path / "out"
+        main(["run", str(scenario_file), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["kernel_columns"] == manifest["grid"][1]
+        assert manifest["kernel_check_err"] == 0.0
+        assert manifest["step_deg"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_manifest_records_node_kernel_and_step(self, tmp_path):
+        # a 61 x 61 grid takes the node path; 0.7 does not divide 180
+        path = tmp_path / "scenario.ini"
+        path.write_text(
+            "[scenario]\nfrequency_ghz = 2.3\ncriterion = uacp\ntarget_angle_deg = 30\n"
+            "pitch_divisor = 8\naperture_m = 1.0\n\n[sweep]\nstep_deg = 0.7\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["grid"] == [61, 61]
+        assert 8 <= manifest["kernel_columns"] <= 30
+        assert 0.0 < manifest["kernel_check_err"] <= 1e-10
+        assert manifest["step_deg"] == pytest.approx(180.0 / 257, rel=1e-12)
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         rc = main(["run", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
         assert rc == 2
