@@ -12,16 +12,9 @@ from .alphabet import (
     load_alphabet,
     uadp_set,
 )
-from .channel import (
-    ChannelPair,
-    field_sum,
-    received_power,
-    sinc,
-)
+from .channel import ChannelPair, received_power
 from .core import (
     SPEED_OF_LIGHT,
-    CosinePower,
-    Isotropic,
     RisGeometry,
     Terminal,
     Wave,

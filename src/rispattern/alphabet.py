@@ -46,10 +46,6 @@ class ComplexCoefficient:
     def from_linear_deg(cls, amp: float, phase_deg: float) -> "ComplexCoefficient":
         return cls(amp, phase_deg * DEG)
 
-    @classmethod
-    def from_complex(cls, value: complex) -> "ComplexCoefficient":
-        return cls(abs(value), math.atan2(value.imag, value.real))
-
     @property
     def value(self) -> complex:
         return self.amplitude * complex(math.cos(self.phase), math.sin(self.phase))
@@ -66,7 +62,6 @@ class Alphabet:
     entries: tuple[ComplexCoefficient, ...]
     source_label: str = ""
     nominal_frequency: float | None = None
-    nominal_cell_size: tuple[float, float] | None = None  # fractions of lambda
     control_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -88,10 +83,6 @@ class Alphabet:
     @property
     def values(self) -> np.ndarray:
         return np.array([e.value for e in self.entries], dtype=complex)
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([e.amplitude for e in self.entries])
 
     @property
     def phases(self) -> np.ndarray:
@@ -131,23 +122,21 @@ _VARACTOR_ROWS = (
 
 
 # name: (amplitude unit, (amplitude, phase in degrees) rows, nominal
-# frequency in Hz, nominal cell size in wavelengths, control values)
+# frequency in Hz, control values)
 _BUILTINS = {
-    "mmwave33": ("linear", ((0.8, 150.0), (0.8, 0.0)), 33e9, (0.418, 0.418), None),
-    "mmwave27": ("linear", ((0.9, 165.0), (0.7, 0.0)), 27e9, (0.126, 0.252), None),
-    "omni3p6": ("linear", ((0.46, 20.0), (0.55, 215.0)), 3.6e9, (0.345, 0.170), None),
+    "mmwave33": ("linear", ((0.8, 150.0), (0.8, 0.0)), 33e9, None),
+    "mmwave27": ("linear", ((0.9, 165.0), (0.7, 0.0)), 27e9, None),
+    "omni3p6": ("linear", ((0.46, 20.0), (0.55, 215.0)), 3.6e9, None),
     "testbed2p3": (
         "db",
         ((-1.2, -205.5), (-1.2, -383.2), (-0.8, -290.2), (-0.7, -110.3)),
         2.3e9,
-        (0.286, 0.286),
         None,
     ),
     "varactor5g": (
         "db",
         tuple((db, deg) for _, db, deg in _VARACTOR_ROWS),
         5.45e9,
-        (0.25, 0.25),
         tuple(v for v, _, _ in _VARACTOR_ROWS),
     ),
 }
@@ -160,7 +149,7 @@ def builtin_names() -> tuple[str, ...]:
 def builtin(name: str) -> Alphabet:
     """Look up a built-in measured alphabet by name."""
     try:
-        unit, rows, frequency, cell_size, controls = _BUILTINS[name]
+        unit, rows, frequency, controls = _BUILTINS[name]
     except KeyError:
         raise KeyError(
             f"unknown alphabet {name!r}; valid names: {', '.join(builtin_names())}"
@@ -170,7 +159,6 @@ def builtin(name: str) -> Alphabet:
         tuple(make(amp, deg) for amp, deg in rows),
         source_label=name,
         nominal_frequency=frequency,
-        nominal_cell_size=cell_size,
         control_values=controls,
     )
 
@@ -193,30 +181,16 @@ def constellation_stats(alphabet: Alphabet) -> tuple[complex, float]:
     return centroid, float(coverage)
 
 
-def load_alphabet(
-    source,
-    amplitude_unit: str | None = None,
-    phase_unit: str | None = None,
-    source_label: str = "",
-) -> Alphabet:
+def load_alphabet(text: str, source_label: str = "") -> Alphabet:
     """Parse an alphabet from delimited text.
 
     Expected layout: optional `# amplitude_unit: linear|db` and
     `# phase_unit: deg|rad` declaration lines, other `#` lines ignored, a
     header row `amplitude,phase[,control]`, then one row per entry in file
-    order.  Explicit keyword units override in-file declarations.
+    order.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-
-    file_amp_unit = None
-    file_phase_unit = None
+    amp_unit = "linear"
+    ph_unit = "deg"
     rows = []
     header = None
     for lineno, raw in enumerate(io.StringIO(text), start=1):
@@ -226,9 +200,9 @@ def load_alphabet(
         if line.startswith("#"):
             body = line[1:].strip()
             if body.lower().startswith("amplitude_unit:"):
-                file_amp_unit = body.split(":", 1)[1].strip().lower()
+                amp_unit = body.split(":", 1)[1].strip().lower() or "linear"
             elif body.lower().startswith("phase_unit:"):
-                file_phase_unit = body.split(":", 1)[1].strip().lower()
+                ph_unit = body.split(":", 1)[1].strip().lower() or "deg"
             continue
         cells = [c.strip() for c in line.split(",")]
         if header is None:
@@ -240,8 +214,6 @@ def load_alphabet(
             continue
         rows.append((lineno, cells))
 
-    amp_unit = (amplitude_unit or file_amp_unit or "linear").lower()
-    ph_unit = (phase_unit or file_phase_unit or "deg").lower()
     if amp_unit not in ("linear", "db"):
         raise AlphabetError(f"unknown amplitude unit {amp_unit!r}")
     if ph_unit not in ("deg", "rad"):
@@ -329,6 +301,8 @@ class DesignCriterion:
                 raise ValueError("uadp criterion needs levels >= 2")
         if self.kind in ("uaep", "alphabet") and self.alphabet is None:
             raise ValueError(f"{self.kind} criterion needs a bound alphabet")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"diffuser seed must be >= 0, got {self.seed}")
 
     @classmethod
     def uacp(cls):

@@ -3,13 +3,13 @@
 The received field is a coherent sum over the N x M elements of gamma_nm
 times a tx-side factor g_nm and an rx-side factor h_nm.  Each factor
 carries one 1/(4*pi), a spherical-spreading term 1/r with obliquity z/r,
-the square root of the antenna power gain, the phase exp(-jkr), and one of
-the two element-size sinc factors.  The x-direction sinc lives in g and the
+the phase exp(-jkr), and one of the two element-size sinc factors; both
+terminals are isotropic.  The x-direction sinc lives in g and the
 y-direction sinc in h; both mix tx and rx direction cosines, so g depends on
 the receiver position as well.  Everything is evaluated with per-element
 distances, so near-field (spherical wavefront) cases need no special path.
 
-The physics is written once: `_terminal_terms` (distance, obliquity, gain,
+The physics is written once: `_terminal_terms` (distance, obliquity,
 phase), `_sinc_half` and `_rx_terms` evaluate it for a batch of A receiver
 positions.  `ChannelPair.compute` is the A = 1 case and keeps g and h apart
 for the designer.  `_received_powers`, behind the pattern sweeps, folds
@@ -69,7 +69,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ISOTROPIC, RisGeometry, Terminal, Wave
+from .core import RisGeometry, Terminal, Wave
 
 FOUR_PI = 4.0 * np.pi
 
@@ -121,25 +121,15 @@ def _sinc_half(h: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def sinc(x):
-    """sin(x)/x with a series branch near zero (numpy's sinc is normalized)."""
-    h = np.array(x, dtype=float)
-    h *= 0.5
-    out = _sinc_half(h, np.empty_like(h), np.empty(h.shape, dtype=bool))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def _terminal_terms(x, y, pos: np.ndarray, gain_pattern, half_k: float):
+def _terminal_terms(x, y, pos: np.ndarray, half_k: float):
     """Per-element terms of A terminal positions pos (A, 3) over the grid of
     element rows at x (N) and columns at y (M).
 
-    Returns (amp, inv_r, ox, oy, t): amp = sqrt(G(z/r)) (z/r) / r is the
-    spreading amplitude with obliquity and antenna gain, inv_r = 1/r, both
-    (A, N, M); ox (A, N) and oy (A, M) are the terminal's offsets from the
-    element rows and columns; and t = tan(k r / 2), shape (A, N, M), carries
-    the phase (see `_apply_phase`).
+    Returns (amp, inv_r, ox, oy, t): amp = (z/r) / r is the spreading
+    amplitude with obliquity, inv_r = 1/r, both (A, N, M); ox (A, N) and
+    oy (A, M) are the terminal's offsets from the element rows and columns;
+    and t = tan(k r / 2), shape (A, N, M), carries the phase (see
+    `_apply_phase`).
     """
     ox = pos[:, 0, None] - x
     oy = pos[:, 1, None] - y
@@ -149,10 +139,6 @@ def _terminal_terms(x, y, pos: np.ndarray, gain_pattern, half_k: float):
     np.sqrt(r, out=r)
     inv_r = np.divide(1.0, r)
     amp = np.multiply(inv_r, z)
-    if gain_pattern != ISOTROPIC:
-        gain = gain_pattern.gain(amp)
-        np.sqrt(gain, out=gain)
-        amp *= gain
     amp *= inv_r
     r *= half_k
     np.tan(r, out=r)
@@ -205,20 +191,20 @@ def _illuminate(geom: RisGeometry, wave: Wave, tx: Terminal, y: np.ndarray) -> _
     k = wave.wavenumber
     hx = k * geom.pitch_x / 4.0
     hy = k * geom.pitch_y / 4.0
-    amp, inv_r, ox, oy, t = _terminal_terms(x, y, np.array([tx.position]), tx.gain_pattern, k / 2.0)
+    amp, inv_r, ox, oy, t = _terminal_terms(x, y, np.array([tx.position]), k / 2.0)
     hx_tx = inv_r[0] * (hx * ox[0])[:, None]
     hy_tx = inv_r[0] * (hy * oy[0])[None, :]
     _apply_phase(amp, t, inv_r, np.empty_like(amp))
     return _Illumination(x, y, k / 2.0, hx, hy, hx_tx, hy_tx, amp[0], t[0])
 
 
-def _rx_terms(ill: _Illumination, pos: np.ndarray, gain_pattern):
+def _rx_terms(ill: _Illumination, pos: np.ndarray):
     """Receiver-side terms for A positions pos (A, 3) as real (A, N, M) arrays.
 
     Returns (sinc_x, re, im_half): sinc_x is the x-direction element factor
-    and re - 2j * im_half = sqrt(G) (z/r) exp(-jkr) / r * sinc_y.
+    and re - 2j * im_half = (z/r) exp(-jkr) / r * sinc_y.
     """
-    amp, inv_r, ox, oy, t = _terminal_terms(ill.x, ill.y, pos, gain_pattern, ill.half_k)
+    amp, inv_r, ox, oy, t = _terminal_terms(ill.x, ill.y, pos, ill.half_k)
     mask = np.empty(amp.shape, dtype=bool)
     h = np.multiply(inv_r, (ill.hy * oy)[:, None, :])
     h += ill.hy_tx
@@ -247,11 +233,11 @@ def _chunk_shape(n_rows: int, n_cols: int) -> tuple[int, int]:
 
 def _block_sums(block: _Illumination, w_block: np.ndarray, pos: np.ndarray):
     """Products of the (2, E) weights of one block of element rows with the
-    real and half-imaginary parts of its isotropic rx factor, (2, A) each.
+    real and half-imaginary parts of its rx factor, (2, A) each.
 
     The chunk temporaries are freed on return, before the next block's.
     """
-    sinc_x, c, s = _rx_terms(block, pos, ISOTROPIC)
+    sinc_x, c, s = _rx_terms(block, pos)
     c *= sinc_x
     s *= sinc_x
     return w_block @ c.reshape(len(pos), -1).T, w_block @ s.reshape(len(pos), -1).T
@@ -266,10 +252,9 @@ def _powers(
     chunk_elements: int | None = None,
 ) -> np.ndarray:
     """p_tx |sum_nm (w[0] + 1j w[1])_nm K_n(pos, y_m)|^2 at each of the rx
-    positions (A, 3), where y_m are the columns of ill and K is its
-    isotropic rx factor.  The chunks run on pool if one is given, else one
-    after another; chunk_elements, if given, caps the element-angles of a
-    chunk."""
+    positions (A, 3), where y_m are the columns of ill and K is its rx
+    factor.  The chunks run on pool if one is given, else one after
+    another; chunk_elements, if given, caps the element-angles of a chunk."""
     n_rows, n_cols = w.shape[1:]
     n_pos = len(rx_positions)
     out = np.empty(n_pos)
@@ -366,7 +351,7 @@ def _received_powers(
     meta: dict | None = None,
 ) -> np.ndarray:
     """Received power p_tx |sum g gamma h|^2 at each of the rx positions
-    (A, 3), for an isotropic receiver.
+    (A, 3).
 
     A sweep of more than _WORKERS chunks evaluates the rx factor at the
     first count of _NODE_COUNTS Chebyshev nodes in y that matches the real
@@ -408,37 +393,26 @@ class ChannelPair:
     g: np.ndarray
     h: np.ndarray
     geometry: RisGeometry
-    wave: Wave
-    tx: Terminal
-    rx: Terminal
 
     @classmethod
     def compute(cls, geom: RisGeometry, wave: Wave, tx: Terminal, rx: Terminal):
         ill = _illuminate(geom, wave, tx, geom.y_centers)
-        sinc_x, re, im_half = _rx_terms(ill, np.array([rx.position]), rx.gain_pattern)
+        sinc_x, re, im_half = _rx_terms(ill, np.array([rx.position]))
         return cls(
             g=(ill.re - 2j * ill.im_half) * sinc_x[0] * (geom.pitch_x / FOUR_PI),
             h=(re[0] - 2j * im_half[0]) * (geom.pitch_y / FOUR_PI),
             geometry=geom,
-            wave=wave,
-            tx=tx,
-            rx=rx,
         )
 
 
-def field_sum(pair: ChannelPair, config) -> complex:
-    """Coherent sum over elements of g_nm * gamma_nm * h_nm.
+def received_power(pair: ChannelPair, config, p_tx: float = 1.0) -> float:
+    """Received power p_tx * |sum g gamma h|^2 in watts, for a SurfaceConfig
+    or a bare gamma matrix.
 
-    Accepts a SurfaceConfig or a bare gamma matrix.  numpy's sum reduces
-    pairwise, which keeps rounding bounded for the ~3e5-element grids that a
-    lambda/32 pitch produces.
+    numpy's sum reduces pairwise, which keeps rounding bounded for the
+    ~3e5-element grids that a lambda/32 pitch produces.
     """
     gamma = np.asarray(getattr(config, "gamma", config))
     if gamma.shape != pair.g.shape:
         raise ValueError(f"gamma shape {gamma.shape} != channel shape {pair.g.shape}")
-    return complex(np.sum(pair.g * gamma * pair.h))
-
-
-def received_power(pair: ChannelPair, config, p_tx: float = 1.0) -> float:
-    """Received power p_tx * |sum g gamma h|^2 in watts."""
-    return p_tx * abs(field_sum(pair, config)) ** 2
+    return p_tx * abs(complex(np.sum(pair.g * gamma * pair.h))) ** 2

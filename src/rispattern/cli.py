@@ -7,6 +7,7 @@ Exit codes: 0 full success, 1 scenario failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -76,6 +77,12 @@ def _load_scenario_file(path: str, lenient: bool):
     return None
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    """Report an output path that cannot be written (exit code 2)."""
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def _write_colormap(gamma: np.ndarray, phase_path: str, amp_path: str) -> list[str]:
     """Write the gamma phase (degrees) and amplitude matrices; return the paths."""
     _atomic_write(phase_path, matrix_csv(np.degrees(np.angle(gamma))))
@@ -89,16 +96,19 @@ def cmd_run(args) -> int:
         return 2
     text, scenario = loaded
 
-    if args.step is not None:
-        try:
+    try:
+        if args.step is not None:
             scenario = replace(scenario, sweep_step=args.step)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    os.makedirs(args.out, exist_ok=True)
+        if args.seed is not None and scenario.criterion.kind == "diffuser":
+            scenario = replace(scenario, criterion=DesignCriterion.diffuser(args.seed))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     budget = None if args.allow_large else DEFAULT_ELEMENT_BUDGET
-    if args.seed is not None and scenario.criterion.kind == "diffuser":
-        scenario = replace(scenario, criterion=DesignCriterion.diffuser(args.seed))
 
     t0 = time.perf_counter()
     try:
@@ -161,6 +171,9 @@ def _resolve_alphabet_arg(name: str):
 def cmd_alphabet(args) -> int:
     try:
         alph = _resolve_alphabet_arg(args.name)
+    except OSError as exc:
+        print(f"error: cannot read alphabet file: {exc}", file=sys.stderr)
+        return 2
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -179,7 +192,10 @@ def cmd_alphabet(args) -> int:
     print(f"centroid: {centroid.real:+.6f}{centroid.imag:+.6f}j  |centroid|={abs(centroid):.6f}")
     print(f"phase coverage: {math.degrees(coverage):.2f} deg")
     if args.export:
-        _atomic_write(args.export, dump_alphabet(alph))
+        try:
+            _atomic_write(args.export, dump_alphabet(alph))
+        except OSError as exc:
+            return _cannot_write(args.export, exc)
         print(f"exported to {args.export}")
     return 0
 
@@ -197,11 +213,15 @@ def cmd_colormap(args) -> int:
         print(f"error: scenario failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     base, ext = os.path.splitext(args.out)
-    phase_path, amp_path = _write_colormap(design.config.gamma, args.out, f"{base}_amplitude{ext or '.csv'}")
+    try:
+        phase_path, amp_path = _write_colormap(design.config.gamma, args.out, f"{base}_amplitude{ext or '.csv'}")
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     print(f"wrote {phase_path} and {amp_path}")
     return 0
 
 
+@functools.cache  # one parser per process: building it costs ~10x parsing
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rispattern",

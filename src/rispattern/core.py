@@ -9,7 +9,7 @@ I/O boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,59 +86,11 @@ class Wave:
         return TWO_PI / self.wavelength
 
 
-class GainPattern:
-    """Antenna power-gain pattern evaluated against the surface normal."""
-
-    def gain(self, cos_theta):
-        raise NotImplementedError
-
-
-class Isotropic(GainPattern):
-    def gain(self, cos_theta):
-        return np.ones_like(np.asarray(cos_theta, dtype=float))
-
-    def __repr__(self):
-        return "Isotropic()"
-
-    def __eq__(self, other):
-        return isinstance(other, Isotropic)
-
-    def __hash__(self):
-        return hash("Isotropic")
-
-
-@dataclass(frozen=True)
-class CosinePower(GainPattern):
-    """cos^q(theta) power pattern.
-
-    With normalize_directivity the pattern carries the 2(q+1) directivity
-    factor of an ideal cos^q radiator; by default the broadside gain is 1 so
-    that normalized pattern shapes match the isotropic case at theta=0.
-    """
-
-    exponent: float
-    normalize_directivity: bool = False
-
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise ValueError(f"cosine-power exponent must be >= 0, got {self.exponent}")
-
-    def gain(self, cos_theta):
-        g = np.asarray(cos_theta, dtype=float) ** self.exponent
-        if self.normalize_directivity:
-            g = 2.0 * (self.exponent + 1.0) * g
-        return g
-
-
-ISOTROPIC = Isotropic()
-
-
 @dataclass(frozen=True)
 class Terminal:
-    """A transmitter or receiver: position in meters and an antenna gain pattern."""
+    """An isotropic transmitter or receiver at a position in meters."""
 
     position: tuple[float, float, float]
-    gain_pattern: GainPattern = field(default=ISOTROPIC)
     role: str = ""
 
     def __post_init__(self):
@@ -146,15 +98,3 @@ class Terminal:
         object.__setattr__(self, "position", pos)
         if pos[2] <= 0:
             raise ValueError(f"terminal must lie in the z>0 half-space, got z={pos[2]}")
-
-    @property
-    def x(self) -> float:
-        return self.position[0]
-
-    @property
-    def y(self) -> float:
-        return self.position[1]
-
-    @property
-    def z(self) -> float:
-        return self.position[2]

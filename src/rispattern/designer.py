@@ -45,10 +45,6 @@ class SurfaceConfig:
                 raise ValueError("alphabet_indices shape mismatch")
             object.__setattr__(self, "alphabet_indices", idx)
 
-    @property
-    def shape(self):
-        return self.gamma.shape
-
 
 @dataclass
 class OptimizerReport:

@@ -76,14 +76,19 @@ class SweepSpec:
             raise ValueError("theta_min must be < theta_max")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError("step must be positive and finite")
+        if not math.isfinite((self.theta_max - self.theta_min) / self.step):
+            raise ValueError(f"step {self.step} is too small for the angle range")
         radius = self.fixed_radius
         if radius is not None and not (math.isfinite(radius) and radius > 0):
             raise ValueError("fixed radius must be positive and finite")
 
     @property
+    def count(self) -> int:
+        return int(round((self.theta_max - self.theta_min) / self.step)) + 1
+
+    @property
     def angles(self) -> np.ndarray:
-        count = int(round((self.theta_max - self.theta_min) / self.step)) + 1
-        return np.linspace(self.theta_min, self.theta_max, count)
+        return np.linspace(self.theta_min, self.theta_max, self.count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,19 +111,6 @@ class PatternTrace:
         with np.errstate(divide="ignore"):
             return 10.0 * np.log10(self.power / peak)
 
-    def power_at(self, angle_deg: float) -> float:
-        """Linear interpolation of the power trace."""
-        return float(np.interp(angle_deg, self.angles, self.power))
-
-    def peak_near(self, angle_deg: float, window: float = 5.0) -> tuple[float, float]:
-        """(angle, power) of the trace maximum within +/- window degrees."""
-        mask = np.abs(self.angles - angle_deg) <= window
-        if not mask.any():
-            raise ValueError(f"no samples within {window} deg of {angle_deg} deg")
-        sub_p = self.power[mask]
-        i = int(np.argmax(sub_p))
-        return float(self.angles[mask][i]), float(sub_p[i])
-
 
 @dataclass(frozen=True, eq=False)
 class BeamMetrics:
@@ -127,7 +119,6 @@ class BeamMetrics:
     peak_angle: float
     peak_power: float
     sidelobes: tuple[tuple[float, float], ...]  # (angle, power), descending power
-    trace: PatternTrace
 
 
 def rx_arc_position(radius: float, theta_deg: float) -> tuple[float, float, float]:
@@ -152,7 +143,8 @@ def sweep(
     else:
         radius = far_field_radius(geom, wave)
     angles = spec.angles
-    positions = np.array([rx_arc_position(radius, t) for t in angles])
+    t = np.radians(angles)  # the positions of `rx_arc_position`, all at once
+    positions = np.column_stack([radius * np.sin(t), np.zeros(len(t)), radius * np.cos(t)])
     gamma = np.asarray(getattr(config, "gamma", config))
     if gamma.shape != (geom.n_rows, geom.n_cols):
         raise ValueError(f"gamma shape {gamma.shape} does not match geometry")
@@ -209,5 +201,4 @@ def extract_metrics(trace: PatternTrace) -> BeamMetrics:
         peak_angle=float(trace.angles[i_peak]),
         peak_power=float(p[i_peak]),
         sidelobes=tuple(lobes),
-        trace=trace,
     )

@@ -66,6 +66,8 @@ class Scenario:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if SweepSpec(step=self.sweep_step).count < 3:
+            raise ValueError(f"sweep step {self.sweep_step} deg leaves fewer than 3 angles in [-90, 90]")
         if self.field_regime not in ("far", "near"):
             raise ValueError(f"field regime must be 'far' or 'near', got {self.field_regime!r}")
 

@@ -17,6 +17,7 @@ from rispattern import (
     ChannelPair,
     ComplexCoefficient,
     DesignCriterion,
+    PatternTrace,
     RisGeometry,
     Scenario,
     SweepSpec,
@@ -46,6 +47,40 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def _db(ratio: float) -> float:
     return 10.0 * math.log10(ratio)
+
+
+def power_at(trace, angle_deg: float) -> float:
+    """Linear interpolation of the power trace."""
+    return float(np.interp(angle_deg, trace.angles, trace.power))
+
+
+def peak_near(trace, angle_deg: float, window: float = 5.0) -> tuple[float, float]:
+    """(angle, power) of the trace maximum within +/- window degrees."""
+    mask = np.abs(trace.angles - angle_deg) <= window
+    if not mask.any():
+        raise ValueError(f"no samples within {window} deg of {angle_deg} deg")
+    sub_p = trace.power[mask]
+    i = int(np.argmax(sub_p))
+    return float(trace.angles[mask][i]), float(sub_p[i])
+
+
+def test_power_at_interpolates():
+    trace = PatternTrace(
+        angles=np.array([0.0, 1.0, 2.0]), power=np.array([0.0, 2.0, 4.0])
+    )
+    assert power_at(trace, 0.5) == pytest.approx(1.0)
+
+
+def test_peak_near_window():
+    angles = np.linspace(-90, 90, 181)
+    power = np.exp(-((angles - 30) ** 2) / 20) + 2.0 * np.exp(
+        -((angles + 50) ** 2) / 10
+    )
+    trace = PatternTrace(angles=angles, power=power)
+    angle, _ = peak_near(trace, 30.0, window=10.0)
+    assert angle == pytest.approx(30.0)
+    with pytest.raises(ValueError):
+        peak_near(trace, 0.45, window=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +274,8 @@ def test_criterion_02_monotone_ascent(
 def test_criterion_03_beam_splitter(beamsplit_run):
     result, elapsed = beamsplit_run
     trace = result.trace
-    ang_pos, p_pos = trace.peak_near(45.0, window=5.0)
-    ang_neg, p_neg = trace.peak_near(-45.0, window=5.0)
+    ang_pos, p_pos = peak_near(trace, 45.0, window=5.0)
+    ang_neg, p_neg = peak_near(trace, -45.0, window=5.0)
     amp_gap = abs(_db(p_pos / p_neg))
     loc_ok = abs(ang_pos - 45.0) <= 0.5 and abs(ang_neg + 45.0) <= 0.5
     amp_ok = amp_gap < 0.5
@@ -261,8 +296,8 @@ def test_criterion_03_beam_splitter(beamsplit_run):
 
 def test_criterion_04_quantization_recovery(fourstate_run, beamsplit_run):
     trace = fourstate_run.trace
-    _, p_pos = trace.peak_near(45.0, window=5.0)
-    p_mirror = trace.power_at(-45.0)
+    _, p_pos = peak_near(trace, 45.0, window=5.0)
+    p_mirror = power_at(trace, -45.0)
     gap = _db(p_pos / p_mirror)
     ok = gap >= 8.0
     _report(
@@ -293,8 +328,8 @@ def test_criterion_05_steering_accuracy(steer_runs):
 def test_criterion_06_near_field_gap_omni(near_omni_runs):
     gaps = {}
     for target, result in near_omni_runs.items():
-        _, p_beam = result.trace.peak_near(target, window=5.0)
-        _, p_mirror = result.trace.peak_near(-target, window=5.0)
+        _, p_beam = peak_near(result.trace, target, window=5.0)
+        _, p_mirror = peak_near(result.trace, -target, window=5.0)
         gaps[target] = _db(p_beam / p_mirror)
     ok = all(g > 3.0 for g in gaps.values())
     _report(
@@ -311,8 +346,8 @@ def test_criterion_07_near_field_specular_gap(near_varactor_runs):
     nominal = {4.0: 1.44, 8.0: 1.74}
     gaps = {}
     for divisor, result in near_varactor_runs.items():
-        _, p_beam = result.trace.peak_near(45.0, window=5.0)
-        _, p_spec = result.trace.peak_near(0.0, window=5.0)
+        _, p_beam = peak_near(result.trace, 45.0, window=5.0)
+        _, p_spec = peak_near(result.trace, 0.0, window=5.0)
         gaps[divisor] = _db(p_beam / p_spec)
     strict = all(g > 0.0 for g in gaps.values())
     within = {d: abs(gaps[d] - nominal[d]) <= 1.0 for d in gaps}
@@ -351,7 +386,7 @@ def test_criterion_09_interference_filtering(interference_run):
     rejections = {}
     for itrace in result.interference_traces:
         theta = itrace.metadata["interferer_theta_inc_deg"]
-        rejections[theta] = _db(itrace.power.max() / itrace.power_at(45.0))
+        rejections[theta] = _db(itrace.power.max() / power_at(itrace, 45.0))
     geom, wave = s.geometry(), s.wave
     replay = interference_study(
         geom, wave, result.config, 0.0, SweepSpec(step=s.sweep_step)

@@ -18,29 +18,32 @@ from rispattern import (
 from rispattern.alphabet import AlphabetError
 
 
+def amplitudes(a):
+    return np.array([e.amplitude for e in a.entries])
+
+
 class TestBuiltins:
     def test_mmwave33(self):
         a = builtin("mmwave33")
         assert a.cardinality == 2
-        assert a.amplitudes == pytest.approx([0.8, 0.8])
+        assert amplitudes(a) == pytest.approx([0.8, 0.8])
         assert np.degrees(a.phases) == pytest.approx([150.0, 0.0])
-        assert a.nominal_cell_size == (0.418, 0.418)
         assert a.nominal_frequency == 33e9
 
     def test_mmwave27(self):
         a = builtin("mmwave27")
-        assert a.amplitudes == pytest.approx([0.9, 0.7])
+        assert amplitudes(a) == pytest.approx([0.9, 0.7])
         assert np.degrees(a.phases) == pytest.approx([165.0, 0.0])
 
     def test_omni3p6_wraps_215(self):
         a = builtin("omni3p6")
-        assert a.amplitudes == pytest.approx([0.46, 0.55])
+        assert amplitudes(a) == pytest.approx([0.46, 0.55])
         assert np.degrees(a.phases) == pytest.approx([20.0, -145.0])
 
     def test_testbed2p3_db_and_wrap(self):
         a = builtin("testbed2p3")
         # field convention: 10^(dB/20); phases wrapped into (-180, 180]
-        assert a.amplitudes == pytest.approx(
+        assert amplitudes(a) == pytest.approx(
             [10 ** (-1.2 / 20)] * 2 + [10 ** (-0.8 / 20), 10 ** (-0.7 / 20)]
         )
         assert np.degrees(a.phases) == pytest.approx([154.5, -23.2, 69.8, -110.3])
@@ -62,8 +65,8 @@ class TestBuiltins:
     def test_all_builtins_canonical(self):
         for name in builtin_names():
             a = builtin(name)
-            assert np.all(a.amplitudes > 0)
-            assert np.all(a.amplitudes <= 1)
+            assert np.all(amplitudes(a) > 0)
+            assert np.all(amplitudes(a) <= 1)
             assert np.all(a.phases > -math.pi)
             assert np.all(a.phases <= math.pi)
 
@@ -72,7 +75,7 @@ class TestUadpSet:
     def test_l2(self):
         a = uadp_set(2)
         assert np.degrees(a.phases) == pytest.approx([0.0, 180.0])
-        assert a.amplitudes == pytest.approx([1.0, 1.0])
+        assert amplitudes(a) == pytest.approx([1.0, 1.0])
 
     def test_l4_canonicalized(self):
         a = uadp_set(4)
@@ -119,7 +122,7 @@ class TestLoadAlphabet:
     def test_ideal_binary(self):
         text = "amplitude,phase\n1.0,0\n1.0,180\n"
         a = load_alphabet(text)
-        assert a.amplitudes == pytest.approx([1.0, 1.0])
+        assert amplitudes(a) == pytest.approx([1.0, 1.0])
         assert np.degrees(a.phases) == pytest.approx([0.0, 180.0])
 
     def test_db_and_wrap(self):
@@ -145,11 +148,6 @@ class TestLoadAlphabet:
         a = load_alphabet("# phase_unit: rad\namplitude,phase\n1.0,3.14159\n")
         assert a.entries[0].phase == pytest.approx(3.14159)
 
-    def test_keyword_unit_overrides_file(self):
-        text = "# amplitude_unit: db\namplitude,phase\n0.5,0\n"
-        a = load_alphabet(text, amplitude_unit="linear")
-        assert a.entries[0].amplitude == 0.5
-
     def test_control_column_preserved(self):
         a = load_alphabet("amplitude,phase,control\n1.0,0,0.25\n0.9,90,0.5\n")
         assert a.control_values == (0.25, 0.5)
@@ -162,7 +160,7 @@ class TestLoadAlphabet:
 
     def test_row_order_preserved(self):
         a = load_alphabet("amplitude,phase\n0.3,10\n0.9,-20\n0.5,30\n")
-        assert a.amplitudes == pytest.approx([0.3, 0.9, 0.5])
+        assert amplitudes(a) == pytest.approx([0.3, 0.9, 0.5])
 
 
 class TestCanonicalExport:
@@ -190,10 +188,6 @@ class TestComplexCoefficient:
         c = ComplexCoefficient.from_linear_deg(0.5, 90.0)
         assert c.value == pytest.approx(0.5j)
 
-    def test_from_complex(self):
-        c = ComplexCoefficient.from_complex(0.3 - 0.4j)
-        assert c.amplitude == pytest.approx(0.5)
-
 
 class TestDesignCriterion:
     def test_uadp_needs_two_levels(self):
@@ -203,6 +197,11 @@ class TestDesignCriterion:
     def test_uaep_needs_alphabet(self):
         with pytest.raises(ValueError):
             DesignCriterion("uaep")
+
+    def test_negative_diffuser_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            DesignCriterion.diffuser(-1)
+        assert DesignCriterion.diffuser(0).seed == 0
 
     def test_labels(self):
         assert DesignCriterion.uadp(16).label() == "UADP(L=16)"

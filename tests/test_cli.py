@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rispattern import __version__, parse_scenario, run_scenario
+from rispattern import __version__, cli, parse_scenario, run_scenario
 from rispattern import scenario as scenario_module
 from rispattern.cli import canonical_digest, main, trace_csv
 
@@ -22,6 +22,12 @@ step_deg = 1.0
 """
 
 INTERFERENCE_TEXT = SCENARIO_TEXT + "\n[interference]\nangles_deg = -15\n"
+
+
+def single_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
 
 
 @pytest.fixture
@@ -132,6 +138,8 @@ class TestRunCommand:
             ("p_tx_w", "0", "p_tx"),
             ("step_deg", "0", "sweep_step"),
             ("step_deg", "nan", "sweep_step"),
+            ("step_deg", "1e-320", "step"),
+            ("step_deg", "200", "fewer than 3 angles"),
         ],
     )
     def test_bad_number_exit_2(self, tmp_path, capsys, key, value, field):
@@ -162,6 +170,28 @@ class TestRunCommand:
         rc = main(["run", str(scenario_file), "--out", str(tmp_path / "o"), "--step", "0"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("how", ["file", "flag"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, how):
+        text = SCENARIO_TEXT.replace("criterion = uacp", "criterion = diffuser")
+        path = tmp_path / "s.ini"
+        path.write_text(text.replace("[sweep]", "seed = -1\n\n[sweep]") if how == "file" else text)
+        flag = ["--seed", "-5"] if how == "flag" else []
+        rc = main(["run", str(path), "--out", str(tmp_path / "o"), *flag])
+        assert rc == 2
+        assert "seed" in single_error_line(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_step_override_leaving_two_angles_exit_2(self, tmp_path, scenario_file, capsys):
+        rc = main(["run", str(scenario_file), "--out", str(tmp_path / "o"), "--step", "200"])
+        assert rc == 2
+        assert "fewer than 3 angles" in single_error_line(capsys)
+
+    def test_out_naming_a_file_exit_2(self, tmp_path, scenario_file, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["run", str(scenario_file), "--out", str(out)]) == 2
+        assert str(out) in single_error_line(capsys)
 
     def test_step_override(self, tmp_path, scenario_file):
         out = tmp_path / "out"
@@ -213,6 +243,28 @@ class TestAlphabetCommand:
         rc = main(["alphabet", "bogus"])
         assert rc == 2
         assert "testbed2p3" in capsys.readouterr().err
+
+    def test_directory_exit_2(self, tmp_path, capsys):
+        assert main(["alphabet", str(tmp_path)]) == 2
+        assert "cannot read alphabet file" in single_error_line(capsys)
+
+    def test_unreadable_file_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "a.csv"
+        path.write_text("amplitude,phase\n1.0,0\n")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        # shadows the builtin inside the cli module only; mode bits cannot
+        # make a file unreadable to a superuser
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        assert main(["alphabet", str(path)]) == 2
+        assert "Permission denied" in single_error_line(capsys)
+
+    def test_export_into_missing_directory_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "a.csv"
+        assert main(["alphabet", "omni3p6", "--export", str(target)]) == 2
+        assert str(target) in single_error_line(capsys)
 
     def test_export_roundtrip(self, tmp_path, capsys):
         target = tmp_path / "a.csv"
@@ -294,6 +346,13 @@ class TestColormap:
         assert main(["colormap", str(path), "--out", str(tmp_path / "phase.csv")]) == 0
         assert (tmp_path / "phase.csv").read_bytes() == (out / "gamma_phase_deg.csv").read_bytes()
         assert (tmp_path / "phase_amplitude.csv").read_bytes() == (out / "gamma_amplitude.csv").read_bytes()
+
+    def test_out_into_missing_directory_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "s.ini"
+        path.write_text(SCENARIO_TEXT)
+        out = tmp_path / "missing" / "phase.csv"
+        assert main(["colormap", str(path), "--out", str(out)]) == 2
+        assert str(out) in single_error_line(capsys)
 
     def test_exit_codes(self, tmp_path, capsys):
         out = str(tmp_path / "phase.csv")

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rispattern import (
-    CosinePower,
-    Isotropic,
     RisGeometry,
     Terminal,
     Wave,
     canonical_phase,
 )
 from rispattern.channel import _terminal_terms
-from rispattern.core import ISOTROPIC
 
 
 def distance_and_angle(terminal, center):
@@ -23,11 +20,10 @@ def distance_and_angle(terminal, center):
         np.array([float(center[0])]),
         np.array([float(center[1])]),
         np.array([terminal.position]),
-        ISOTROPIC,
         0.0,
     )
     dist = 1.0 / inv_r.item()
-    obliquity = amp.item() * dist  # amp = (z/r) / r for an isotropic terminal
+    obliquity = amp.item() * dist  # amp = (z/r) / r
     return dist, obliquity, math.acos(min(obliquity, 1.0))
 
 
@@ -104,7 +100,7 @@ class TestDistanceAndAngle:
     def test_pythagorean_consistency(self, tx, cx, cy):
         term = Terminal(tx)
         dist, obl, _ = distance_and_angle(term, (cx, cy))
-        lateral = math.hypot(term.x - cx, term.y - cy)
+        lateral = math.hypot(term.position[0] - cx, term.position[1] - cy)
         assert abs(obl**2 + (lateral / dist) ** 2 - 1.0) < 1e-12
 
 
@@ -154,19 +150,3 @@ class TestTerminal:
             Terminal((0, 0, 0))
         with pytest.raises(ValueError):
             Terminal((0, 0, -1))
-
-    def test_isotropic_gain_is_one(self):
-        assert Isotropic().gain(0.3) == 1.0
-
-    def test_cosine_power_broadside_gain_is_one(self):
-        assert CosinePower(2.0).gain(1.0) == 1.0
-
-    def test_cosine_power_directivity_normalization(self):
-        assert CosinePower(2.0, normalize_directivity=True).gain(1.0) == pytest.approx(6.0)
-
-    def test_gain_finite_nonnegative_over_hemisphere(self):
-        cos_theta = np.cos(np.radians(np.arange(0, 90, 1.0)))
-        for pattern in (Isotropic(), CosinePower(0.0), CosinePower(3.5)):
-            g = pattern.gain(cos_theta)
-            assert np.all(np.isfinite(g))
-            assert np.all(g >= 0)

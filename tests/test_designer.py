@@ -134,7 +134,7 @@ class TestQuantized:
         fake_g = np.array([[np.exp(-1j * np.pi / 4)]])
         fake_h = np.array([[np.exp(-1j * np.pi / 4)]])
         pair = make_pair(1, 1)
-        pair = ChannelPair(fake_g, fake_h, pair.geometry, pair.wave, pair.tx, pair.rx)
+        pair = ChannelPair(fake_g, fake_h, pair.geometry)
         config = design_uadp(pair, 2)
         assert config.alphabet_indices[0, 0] == 0
         assert np.angle(config.gamma[0, 0]) == pytest.approx(0.0)

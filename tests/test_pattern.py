@@ -83,6 +83,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="finite"):
             SweepSpec(**{field: value})
 
+    def test_step_too_small_for_the_angle_count(self):
+        with pytest.raises(ValueError, match="too small"):
+            SweepSpec(step=1e-320)
+
     def test_rx_arc_position(self):
         x, y, z = rx_arc_position(10.0, 30.0)
         assert (x, y, z) == pytest.approx((5.0, 0.0, 10.0 * math.sqrt(3) / 2))
@@ -227,20 +231,3 @@ class TestMetrics:
         m = extract_metrics(PatternTrace(angles=angles, power=power))
         lobes = [p for _, p in m.sidelobes]
         assert lobes == sorted(lobes, reverse=True)
-
-    def test_power_at_interpolates(self):
-        trace = PatternTrace(
-            angles=np.array([0.0, 1.0, 2.0]), power=np.array([0.0, 2.0, 4.0])
-        )
-        assert trace.power_at(0.5) == pytest.approx(1.0)
-
-    def test_peak_near_window(self):
-        angles = np.linspace(-90, 90, 181)
-        power = np.exp(-((angles - 30) ** 2) / 20) + 2.0 * np.exp(
-            -((angles + 50) ** 2) / 10
-        )
-        trace = PatternTrace(angles=angles, power=power)
-        angle, _ = trace.peak_near(30.0, window=10.0)
-        assert angle == pytest.approx(30.0)
-        with pytest.raises(ValueError):
-            trace.peak_near(0.45, window=0.1)

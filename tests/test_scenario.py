@@ -70,6 +70,15 @@ class TestScenarioGeometry:
             small_scenario(**{field: value})
 
 
+    @pytest.mark.parametrize("step, ok", [(90.0, True), (120.0, True), (121.0, False), (200.0, False)])
+    def test_sweep_needs_three_angles(self, step, ok):
+        if ok:
+            assert small_scenario(sweep_step=step).sweep_step == step
+        else:
+            with pytest.raises(ValueError, match="fewer than 3 angles"):
+                small_scenario(sweep_step=step)
+
+
 class TestRunScenario:
     def test_deterministic_repeat(self):
         s = small_scenario()
