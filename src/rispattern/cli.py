@@ -1,12 +1,15 @@
 """Command-line front end: scenario runs, alphabet inspection, color-map
 export and reproducibility manifests.
 
-Exit codes: 0 full success, 1 scenario failure, 2 usage error.
+Exit codes, decided only in `main`: 0 success; 1 a scenario that fails to
+design or run; 2 input rejected at the boundary, an unreadable input or an
+unwritable output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -30,17 +33,36 @@ from .scenario import (
 )
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+class ScenarioFailure(Exception):
+    """A scenario that passed the boundary checks and failed to design or run."""
+
+
+@contextlib.contextmanager
+def _os_errors(action: str):
+    """Re-raise an OSError inside the block as `<action>: <reason>`."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        yield
+    except OSError as exc:
+        raise OSError(f"{action}: {exc.strerror or exc}") from exc
+
+
+def _read_text(path: str, what: str) -> str:
+    with _os_errors(f"cannot read {what} {path}"), open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _atomic_write(path: str, text: str) -> None:
+    with _os_errors(f"cannot write {path}"):
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 def canonical_digest(text: str) -> str:
@@ -63,26 +85,6 @@ def matrix_csv(matrix: np.ndarray) -> str:
     return "\n".join(",".join(f"{v:.9g}" for v in row) for row in matrix) + "\n"
 
 
-def _load_scenario_file(path: str, lenient: bool):
-    """(text, scenario) of a scenario file, or None after reporting why it
-    cannot be used (exit code 2)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        return text, parse_scenario(text, lenient=lenient)
-    except OSError as exc:
-        print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    return None
-
-
-def _cannot_write(path: str, exc: OSError) -> int:
-    """Report an output path that cannot be written (exit code 2)."""
-    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-    return 2
-
-
 def _write_colormap(gamma: np.ndarray, phase_path: str, amp_path: str) -> list[str]:
     """Write the gamma phase (degrees) and amplitude matrices; return the paths."""
     _atomic_write(phase_path, matrix_csv(np.degrees(np.angle(gamma))))
@@ -90,35 +92,29 @@ def _write_colormap(gamma: np.ndarray, phase_path: str, amp_path: str) -> list[s
     return [phase_path, amp_path]
 
 
-def cmd_run(args) -> int:
-    loaded = _load_scenario_file(args.scenario, args.lenient)
-    if loaded is None:
-        return 2
-    text, scenario = loaded
+def _design_or_run(stage, scenario, allow_large: bool):
+    """`stage(scenario)` under the element budget unless allow_large; any
+    failure becomes a ScenarioFailure."""
+    try:
+        return stage(scenario, element_budget=None if allow_large else DEFAULT_ELEMENT_BUDGET)
+    except ElementBudgetError as exc:
+        raise ScenarioFailure(str(exc)) from exc
+    except Exception as exc:  # noqa: BLE001
+        raise ScenarioFailure(f"scenario failed: {type(exc).__name__}: {exc}") from exc
 
-    try:
-        if args.step is not None:
-            scenario = replace(scenario, sweep_step=args.step)
-        if args.seed is not None and scenario.criterion.kind == "diffuser":
-            scenario = replace(scenario, criterion=DesignCriterion.diffuser(args.seed))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+
+def cmd_run(args) -> int:
+    text = _read_text(args.scenario, "scenario file")
+    scenario = parse_scenario(text, lenient=args.lenient)
+    if args.step is not None:
+        scenario = replace(scenario, sweep_step=args.step)
+    if args.seed is not None and scenario.criterion.kind == "diffuser":
+        scenario = replace(scenario, criterion=DesignCriterion.diffuser(args.seed))
+    with _os_errors(f"cannot write {args.out}"):
         os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        return _cannot_write(args.out, exc)
-    budget = None if args.allow_large else DEFAULT_ELEMENT_BUDGET
 
     t0 = time.perf_counter()
-    try:
-        result = run_scenario(scenario, element_budget=budget)
-    except ElementBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001
-        print(f"error: scenario failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    result = _design_or_run(run_scenario, scenario, args.allow_large)
     runtime = time.perf_counter() - t0
 
     outputs = []
@@ -161,22 +157,18 @@ def cmd_run(args) -> int:
 
 def _resolve_alphabet_arg(name: str):
     if name.startswith("uadp:"):
-        return uadp_set(int(name.split(":", 1)[1]))
+        try:
+            levels = int(name[5:])
+        except ValueError:
+            raise ValueError(f"alphabet {name!r} needs an integer L in uadp:<L>") from None
+        return uadp_set(levels)
     if os.path.exists(name):
-        with open(name, encoding="utf-8") as fh:
-            return load_alphabet(fh.read(), source_label=name)
+        return load_alphabet(_read_text(name, "alphabet file"), source_label=name)
     return builtin(name)
 
 
 def cmd_alphabet(args) -> int:
-    try:
-        alph = _resolve_alphabet_arg(args.name)
-    except OSError as exc:
-        print(f"error: cannot read alphabet file: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    alph = _resolve_alphabet_arg(args.name)
     print(f"alphabet: {alph.source_label or args.name}  (L={alph.cardinality})")
     has_ctrl = alph.control_values is not None
     header = "  idx  amplitude    phase_deg"
@@ -192,31 +184,17 @@ def cmd_alphabet(args) -> int:
     print(f"centroid: {centroid.real:+.6f}{centroid.imag:+.6f}j  |centroid|={abs(centroid):.6f}")
     print(f"phase coverage: {math.degrees(coverage):.2f} deg")
     if args.export:
-        try:
-            _atomic_write(args.export, dump_alphabet(alph))
-        except OSError as exc:
-            return _cannot_write(args.export, exc)
+        _atomic_write(args.export, dump_alphabet(alph))
         print(f"exported to {args.export}")
     return 0
 
 
 def cmd_colormap(args) -> int:
     """Design the scenario's surface and export gamma, without sweeping."""
-    loaded = _load_scenario_file(args.scenario, args.lenient)
-    if loaded is None:
-        return 2
-    _, scenario = loaded
-    budget = None if args.allow_large else DEFAULT_ELEMENT_BUDGET
-    try:
-        design = design_scenario(scenario, element_budget=budget)
-    except Exception as exc:  # noqa: BLE001
-        print(f"error: scenario failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    scenario = parse_scenario(_read_text(args.scenario, "scenario file"), lenient=args.lenient)
+    design = _design_or_run(design_scenario, scenario, args.allow_large)
     base, ext = os.path.splitext(args.out)
-    try:
-        phase_path, amp_path = _write_colormap(design.config.gamma, args.out, f"{base}_amplitude{ext or '.csv'}")
-    except OSError as exc:
-        return _cannot_write(args.out, exc)
+    phase_path, amp_path = _write_colormap(design.config.gamma, args.out, f"{base}_amplitude{ext or '.csv'}")
     print(f"wrote {phase_path} and {amp_path}")
     return 0
 
@@ -258,9 +236,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ScenarioFailure as exc:
+        code, msg = 1, str(exc)
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        code, msg = 2, exc.args[0]
+    except (OSError, ValueError) as exc:
+        code, msg = 2, str(exc)
+    print(f"error: {msg}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ class OptimizerReport:
     iterations: int
     objective_trace: list[float]
     converged: bool
-    tolerance_used: float
     element_update_count: int
     updates_per_sweep: list[int]  # sums to element_update_count
 
@@ -230,7 +229,6 @@ def optimize_alternating(
         iterations=len(trace) - 1,
         objective_trace=trace,
         converged=converged,
-        tolerance_used=epsilon,
         element_update_count=sum(updates_per_sweep),
         updates_per_sweep=updates_per_sweep,
     )

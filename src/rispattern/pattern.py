@@ -1,10 +1,11 @@
 """Reradiation-pattern sweeps over observation angle and beam metrics.
 
 The receiver is swept along an arc in the xz-plane (azimuth 0): position
-(R sin(theta), 0, R cos(theta)) for theta on a uniform grid.  R is either a
-fixed radius (near-field studies) or the module's far-field default.  The
-illumination is held fixed, so sweeping a frozen configuration under an
-off-nominal transmitter doubles as the interference study.
+(R sin(theta), 0, R cos(theta)) for theta on a uniform grid over [-90, 90]
+degrees.  R is either a fixed radius (near-field studies) or the module's
+far-field default.  The illumination is held fixed, so sweeping a frozen
+configuration under an off-nominal transmitter doubles as the interference
+study.
 
 Every sweep point comes from the same per-element kernel that builds
 `ChannelPair` (see the channel module).  A sweep of more than two chunks
@@ -62,33 +63,41 @@ def check_sweep_radius(geom: RisGeometry, wave: Wave, radius: float) -> None:
         )
 
 
+# The finest accepted grid, a 1.8e-4 deg step: a sweep's arrays and its trace
+# file grow with the angle count.
+MAX_SWEEP_ANGLES = 1_000_001
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Angular grid and radius mode for a pattern sweep."""
+    """Angular grid over [-90, 90] degrees and radius mode for a pattern sweep."""
 
-    theta_min: float = -90.0
-    theta_max: float = 90.0
     step: float = 0.1
     fixed_radius: float | None = None  # None selects the far-field default
 
     def __post_init__(self):
-        if self.theta_min >= self.theta_max:
-            raise ValueError("theta_min must be < theta_max")
         if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError("step must be positive and finite")
-        if not math.isfinite((self.theta_max - self.theta_min) / self.step):
-            raise ValueError(f"step {self.step} is too small for the angle range")
+            raise ValueError(f"sweep_step must be positive and finite, got {self.step}")
+        if self.count < 3:
+            raise ValueError(f"sweep_step {self.step} deg leaves fewer than 3 angles in [-90, 90]")
+        if self.count > MAX_SWEEP_ANGLES:
+            raise ValueError(
+                f"sweep_step {self.step} deg is too small: it gives more than "
+                f"{MAX_SWEEP_ANGLES:,} angles in [-90, 90]"
+            )
         radius = self.fixed_radius
         if radius is not None and not (math.isfinite(radius) and radius > 0):
             raise ValueError("fixed radius must be positive and finite")
 
     @property
     def count(self) -> int:
-        return int(round((self.theta_max - self.theta_min) / self.step)) + 1
+        # capped, so that a subnormal step (180 / step = inf) counts as too
+        # many angles instead of overflowing
+        return int(round(min(180.0 / self.step, MAX_SWEEP_ANGLES))) + 1
 
     @property
     def angles(self) -> np.ndarray:
-        return np.linspace(self.theta_min, self.theta_max, self.count)
+        return np.linspace(-90.0, 90.0, self.count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +165,6 @@ def sweep(
         "tx_position": tx.position,
         "criterion": criterion.label() if criterion is not None else "raw",
         "grid": (geom.n_rows, geom.n_cols),
-        "pitch_m": (geom.pitch_x, geom.pitch_y),
         "step_deg": float(angles[1] - angles[0]) if len(angles) > 1 else 0.0,
     }
     power = _received_powers(geom, wave, tx, gamma, positions, p_tx, meta)

@@ -46,7 +46,7 @@ class Scenario:
 
     frequency: float
     criterion: DesignCriterion
-    target_angle: float  # degrees
+    target_angle: float = 45.0  # degrees
     pitch_divisor: float = 4.0  # element pitch is lambda / pitch_divisor
     aperture: float = 1.0  # meters, per side
     field_regime: str = "far"  # "far" | "near"
@@ -62,12 +62,11 @@ class Scenario:
         for angle in self.interferer_angles:
             if not (-90.0 < angle < 90.0):
                 raise ValueError(f"interferer angle must be in (-90, 90), got {angle}")
-        for name in ("frequency", "pitch_divisor", "aperture", "near_radius", "sweep_step", "p_tx"):
+        for name in ("frequency", "pitch_divisor", "aperture", "near_radius", "p_tx"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if SweepSpec(step=self.sweep_step).count < 3:
-            raise ValueError(f"sweep step {self.sweep_step} deg leaves fewer than 3 angles in [-90, 90]")
+        SweepSpec(step=self.sweep_step)  # rejects a step that gives no valid angle grid
         if self.field_regime not in ("far", "near"):
             raise ValueError(f"field regime must be 'far' or 'near', got {self.field_regime!r}")
 
@@ -164,34 +163,34 @@ def run_scenario(
 # [interference] sections.  Unknown keys are an error unless lenient.
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "frequency_ghz",
-    "frequency_hz",
-    "alphabet",
-    "criterion",
-    "levels",
-    "seed",
-    "target_angle_deg",
-    "pitch_divisor",
-    "aperture_m",
-    "field_regime",
-    "near_radius_m",
-    "p_tx_w",
-    "label",
+# Keys that set one Scenario field each, with their conversion; an absent
+# key leaves the field's default.
+_FIELD_KEYS = {
+    "scenario": {
+        "target_angle_deg": ("target_angle", float),
+        "pitch_divisor": ("pitch_divisor", float),
+        "aperture_m": ("aperture", float),
+        "field_regime": ("field_regime", lambda v: v.strip().lower()),
+        "near_radius_m": ("near_radius", float),
+        "p_tx_w": ("p_tx", float),
+        "label": ("label", str),
+    },
+    "sweep": {"step_deg": ("sweep_step", float)},
+    "interference": {
+        "angles_deg": ("interferer_angles", lambda v: tuple(float(a) for a in v.replace(",", " ").split())),
+    },
 }
-_SWEEP_KEYS = {"step_deg"}
-_INTERFERENCE_KEYS = {"angles_deg"}
+_KNOWN_KEYS = {section: set(keys) for section, keys in _FIELD_KEYS.items()}
+# the frequency and the criterion are read by hand
+_KNOWN_KEYS["scenario"] |= {"frequency_ghz", "frequency_hz", "alphabet", "criterion", "levels", "seed"}
 
 
 class ScenarioParseError(ValueError):
     pass
 
 
-def _check_keys(section, keys, allowed, lenient):
-    unknown = set(keys) - allowed
-    if not unknown:
-        return
-    msg = f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
+def _reject(msg: str, lenient: bool) -> None:
+    """Warn about an unknown section or key when lenient, else raise."""
     if lenient:
         warnings.warn(msg, stacklevel=3)
     else:
@@ -222,18 +221,15 @@ def parse_scenario(text: str, lenient: bool = False) -> Scenario:
     if "scenario" not in cp:
         raise ScenarioParseError("missing [scenario] section")
 
-    known_sections = {"scenario", "sweep", "interference"}
     for section in cp.sections():
-        if section not in known_sections:
-            msg = f"unknown section [{section}]"
-            if lenient:
-                warnings.warn(msg, stacklevel=2)
-            else:
-                raise ScenarioParseError(msg)
+        if section not in _FIELD_KEYS:
+            _reject(f"unknown section [{section}]", lenient)
+            continue
+        unknown = set(cp[section]) - _KNOWN_KEYS[section]
+        if unknown:
+            _reject(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}", lenient)
 
     sc = cp["scenario"]
-    _check_keys("scenario", sc.keys(), _SCENARIO_KEYS, lenient)
-
     if "frequency_hz" in sc:
         frequency = sc.getfloat("frequency_hz")
     elif "frequency_ghz" in sc:
@@ -251,21 +247,6 @@ def parse_scenario(text: str, lenient: bool = False) -> Scenario:
             "scenario needs frequency_hz/frequency_ghz or an alphabet with a nominal frequency"
         )
 
-    step = 0.1
-    if "sweep" in cp:
-        sw = cp["sweep"]
-        _check_keys("sweep", sw.keys(), _SWEEP_KEYS, lenient)
-        step = sw.getfloat("step_deg", 0.1)
-
-    interferers: tuple[float, ...] = ()
-    if "interference" in cp:
-        it = cp["interference"]
-        _check_keys("interference", it.keys(), _INTERFERENCE_KEYS, lenient)
-        if "angles_deg" in it:
-            interferers = tuple(
-                float(v) for v in it["angles_deg"].replace(",", " ").split()
-            )
-
     kind = sc.get("criterion", "uacp").strip().lower()
     try:
         # each field only for the kind that uses it, so that the result
@@ -276,18 +257,13 @@ def parse_scenario(text: str, lenient: bool = False) -> Scenario:
             alphabet=alphabet if kind in ("uaep", "alphabet") else None,
             seed=sc.getint("seed", 0) if kind == "diffuser" else None,
         )
-        return Scenario(
-            frequency=frequency,
-            criterion=criterion,
-            target_angle=sc.getfloat("target_angle_deg", 45.0),
-            pitch_divisor=sc.getfloat("pitch_divisor", 4.0),
-            aperture=sc.getfloat("aperture_m", 1.0),
-            field_regime=sc.get("field_regime", "far").strip().lower(),
-            near_radius=sc.getfloat("near_radius_m", 5.0),
-            interferer_angles=interferers,
-            sweep_step=step,
-            p_tx=sc.getfloat("p_tx_w", 1.0),
-            label=sc.get("label", ""),
-        )
+        fields = {
+            field: convert(cp[section][key])
+            for section, keys in _FIELD_KEYS.items()
+            if section in cp
+            for key, (field, convert) in keys.items()
+            if key in cp[section]
+        }
+        return Scenario(frequency=frequency, criterion=criterion, **fields)
     except ValueError as exc:
         raise ScenarioParseError(str(exc)) from exc

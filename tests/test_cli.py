@@ -139,6 +139,7 @@ class TestRunCommand:
             ("step_deg", "0", "sweep_step"),
             ("step_deg", "nan", "sweep_step"),
             ("step_deg", "1e-320", "step"),
+            ("step_deg", "1e-9", "sweep_step 1e-09"),
             ("step_deg", "200", "fewer than 3 angles"),
         ],
     )
@@ -152,9 +153,8 @@ class TestRunCommand:
         path.write_text("\n".join(lines) + "\n")
         rc = main(["run", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
-        assert field in err[0]
+        assert field in single_error_line(capsys)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("angles", ["95", "-15, -90", "nan"])
     def test_interferer_angle_out_of_range_exit_2(self, tmp_path, capsys, angles):
@@ -167,9 +167,11 @@ class TestRunCommand:
         assert "interferer angle" in err[0]
 
     def test_bad_step_override_exit_2(self, tmp_path, scenario_file, capsys):
-        rc = main(["run", str(scenario_file), "--out", str(tmp_path / "o"), "--step", "0"])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        for step, named in (("0", "sweep_step"), ("1e-9", "sweep_step 1e-09")):
+            rc = main(["run", str(scenario_file), "--out", str(tmp_path / "o"), "--step", step])
+            assert rc == 2
+            assert named in single_error_line(capsys)
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("how", ["file", "flag"])
     def test_negative_seed_exit_2(self, tmp_path, capsys, how):
@@ -192,6 +194,13 @@ class TestRunCommand:
         out.write_text("")
         assert main(["run", str(scenario_file), "--out", str(out)]) == 2
         assert str(out) in single_error_line(capsys)
+
+    @pytest.mark.parametrize("name", ["trace.csv", "manifest.json"])
+    def test_output_name_taken_by_a_directory_exit_2(self, tmp_path, scenario_file, capsys, name):
+        taken = tmp_path / "out" / name
+        taken.mkdir(parents=True)
+        assert main(["run", str(scenario_file), "--out", str(tmp_path / "out"), "--colormap"]) == 2
+        assert str(taken) in single_error_line(capsys)
 
     def test_step_override(self, tmp_path, scenario_file):
         out = tmp_path / "out"
@@ -243,6 +252,11 @@ class TestAlphabetCommand:
         rc = main(["alphabet", "bogus"])
         assert rc == 2
         assert "testbed2p3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["uadp:x", "uadp:"])
+    def test_bad_uadp_levels_exit_2(self, capsys, name):
+        assert main(["alphabet", name]) == 2
+        assert repr(name) in single_error_line(capsys)
 
     def test_directory_exit_2(self, tmp_path, capsys):
         assert main(["alphabet", str(tmp_path)]) == 2

@@ -22,6 +22,7 @@ from rispattern import (
     rx_arc_position,
     sweep,
 )
+from rispattern.pattern import MAX_SWEEP_ANGLES
 
 
 def square_setup(n=16, f=2.3e9, pitch_frac=2.0):
@@ -71,9 +72,10 @@ class TestSweepSpec:
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
-            SweepSpec(theta_min=10, theta_max=10)
-        with pytest.raises(ValueError):
             SweepSpec(step=0.0)
+        with pytest.raises(ValueError, match="fewer than 3 angles"):
+            SweepSpec(step=200.0)
+        assert SweepSpec(step=90.0).count == 3
         with pytest.raises(ValueError):
             SweepSpec(fixed_radius=-1.0)
 
@@ -84,8 +86,10 @@ class TestSweepSpec:
             SweepSpec(**{field: value})
 
     def test_step_too_small_for_the_angle_count(self):
-        with pytest.raises(ValueError, match="too small"):
-            SweepSpec(step=1e-320)
+        for step in (1e-320, 1e-9, 180.0 / MAX_SWEEP_ANGLES):
+            with pytest.raises(ValueError, match="too small"):
+                SweepSpec(step=step)
+        assert SweepSpec(step=180.0 / (MAX_SWEEP_ANGLES - 1)).count == MAX_SWEEP_ANGLES
 
     def test_rx_arc_position(self):
         x, y, z = rx_arc_position(10.0, 30.0)
@@ -102,7 +106,7 @@ class TestSweep:
         tx = Terminal((0, 0, radius))
         rng = np.random.default_rng(5)
         gamma = np.exp(1j * rng.uniform(-np.pi, np.pi, (6, 6)))
-        spec = SweepSpec(theta_min=-60, theta_max=60, step=5.0)
+        spec = SweepSpec(step=7.5)
         trace = sweep(geom, wave, tx, gamma, spec)
         for theta, p in zip(trace.angles, trace.power):
             rx = Terminal(rx_arc_position(radius, theta))
