@@ -42,10 +42,10 @@ turn, the first whose power matches the real columns within `_NODE_TOL` of
 the largest checked power at the sweep's first, middle and last positions
 runs the sweep, and the real-column power at the trace peak is checked
 after it.  If no count passes, or the peak check fails, the sweep runs on
-the real columns.  A sweep of at most `_WORKERS` chunks always does: its
-chunks run in one round, about as long as the checks would take.  The node
-path, checks included, runs in chunks of half the element-angles of a
-real-column chunk, so it needs less memory than the real columns.
+the real columns.  A sweep of at most two chunks always does: it takes
+about as long as the checks would.  The node path, checks included, runs in
+chunks of half the element-angles of a real-column chunk, so it needs less
+memory than the real columns.
 Near-field arcs go through the same rule; they need more nodes (24 on the
 5 m benchmark arc against 8 or 12 far away).
 
@@ -54,13 +54,13 @@ angles (of element rows at one angle, when one angle over the whole grid is
 too big) whose live temporaries, summed over the `_WORKERS` chunks in flight,
 stay within `_CHUNK_BUDGET` bytes, so a sweep needs that budget plus O(N*M)
 for the weights and tx-side terms.  The budget is small enough that a chunk
-stays in a core's cache, which is faster than fewer, larger chunks.  A sweep
-of more than one chunk runs its chunks on two threads of its own (numpy
-releases the GIL inside its ufuncs and BLAS calls); the checks of the node
-path run on them as well.  Each chunk writes only
-its own slice of the output, its partial sums over element rows are added in
-a fixed order, and the chunking depends only on the grid shape, not on the
-CPU count, so reruns are bit for bit identical.
+stays in a core's cache, which is faster than fewer, larger chunks.  A
+kernel call of at least `_THREADED_CHUNKS` chunks runs them on `_WORKERS`
+threads of its own (numpy releases the GIL inside its ufuncs and BLAS
+calls), a smaller one, such as a check of the node path, in order.  Each
+chunk writes only its own slice of the output, its partial sums over
+element rows are added in a fixed order, and the chunking depends only on
+the grid shape, so reruns are bit for bit identical.
 """
 
 from __future__ import annotations
@@ -84,11 +84,16 @@ _BYTES_PER_ELEMENT_ANGLE = 5 * 8 + 1
 # Upper bound, in bytes, on the live chunk temporaries of all workers at once.
 _CHUNK_BUDGET = 4 * 2**20
 
-# Threads that a sweep of more than one chunk runs its chunks on.  A fixed
+# Threads of a kernel call of at least _THREADED_CHUNKS chunks.  A fixed
 # count keeps the chunking, and so the rounding of a sweep, independent of
-# the machine's CPU count.  On a 2-vCPU x86-64 box two threads cut the far-sweep benchmark's
-# wall time by 28% against one; larger counts were not measured.
+# the machine's CPU count.  On a 2-vCPU x86-64 box two threads cut the
+# far-sweep benchmark's wall time by 28% against one; more were not measured.
 _WORKERS = 2
+
+# Fewest chunks of a kernel call that run on threads; fewer run in order.
+# On the same box, real-column calls on 25^2-145^2 grids ran faster on two
+# threads from 8 chunks on, and calls on 8-24 node columns from 10-64.
+_THREADED_CHUNKS = 8
 
 # Chebyshev node counts that a sweep tries, in order, for the rx factor's
 # column dependence; a count is tried only while it is at most half the
@@ -248,13 +253,12 @@ def _powers(
     w: np.ndarray,
     rx_positions: np.ndarray,
     p_tx: float,
-    pool=None,
     chunk_elements: int | None = None,
 ) -> np.ndarray:
     """p_tx |sum_nm (w[0] + 1j w[1])_nm K_n(pos, y_m)|^2 at each of the rx
     positions (A, 3), where y_m are the columns of ill and K is its rx
-    factor.  The chunks run on pool if one is given, else one after
-    another; chunk_elements, if given, caps the element-angles of a chunk."""
+    factor; chunk_elements, if given, caps the element-angles of a chunk.
+    A call of at least _THREADED_CHUNKS chunks runs them on threads."""
     n_rows, n_cols = w.shape[1:]
     n_pos = len(rx_positions)
     out = np.empty(n_pos)
@@ -278,11 +282,15 @@ def _powers(
         out[start : start + len(pos)] = p_tx * (re * re + im * im)
 
     starts = range(0, n_pos, angles)
-    if pool is None:
+    if len(starts) < _THREADED_CHUNKS:
         for start in starts:
             run(start)
     else:
-        list(pool.map(run, starts))
+        # imported here: it adds ~7 ms to importing the package
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(_WORKERS) as pool:
+            list(pool.map(run, starts))
     return out
 
 
@@ -307,7 +315,7 @@ def _check_error(approx: np.ndarray, exact: np.ndarray) -> float:
     return float(diff / np.max(exact)) if diff else 0.0
 
 
-def _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, pool, meta):
+def _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, meta):
     """The powers of `_received_powers` on the first node count that passes
     both checks, or None if none does."""
     counts = [r for r in _NODE_COUNTS if 2 * r <= geom.n_cols]
@@ -320,18 +328,18 @@ def _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, pool, meta):
     angles, grid_rows = _chunk_shape(geom.n_rows, geom.n_cols)
     chunk_elements = angles * grid_rows * geom.n_cols // 2
     checked = [0, len(rx_positions) // 2, len(rx_positions) - 1]
-    exact = _powers(ill, w, rx_positions[checked], p_tx, pool, chunk_elements)
+    exact = _powers(ill, w, rx_positions[checked], p_tx, chunk_elements)
     for r in counts:
         nodes, basis = _chebyshev_basis(ill.y, r)
         node_ill = _illuminate(geom, wave, tx, nodes)
         node_w = w @ basis
-        node_checked = _powers(node_ill, node_w, rx_positions[checked], p_tx, pool, chunk_elements)
+        node_checked = _powers(node_ill, node_w, rx_positions[checked], p_tx, chunk_elements)
         if not _check_error(node_checked, exact) <= _NODE_TOL:
             continue
-        power = _powers(node_ill, node_w, rx_positions, p_tx, pool, chunk_elements)
+        power = _powers(node_ill, node_w, rx_positions, p_tx, chunk_elements)
         peak = int(np.argmax(power))
         checked.append(peak)
-        peak_exact = _powers(ill, w, rx_positions[peak : peak + 1], p_tx, pool, chunk_elements)
+        peak_exact = _powers(ill, w, rx_positions[peak : peak + 1], p_tx, chunk_elements)
         exact = np.append(exact, peak_exact)
         err = _check_error(power[checked], exact)
         if not err <= _NODE_TOL:
@@ -353,8 +361,8 @@ def _received_powers(
     """Received power p_tx |sum g gamma h|^2 at each of the rx positions
     (A, 3).
 
-    A sweep of more than _WORKERS chunks evaluates the rx factor at the
-    first count of _NODE_COUNTS Chebyshev nodes in y that matches the real
+    A sweep of more than two chunks evaluates the rx factor at the first
+    count of _NODE_COUNTS Chebyshev nodes in y that matches the real
     columns at its first, middle and last positions and then at its peak,
     and otherwise at the real columns (see the module docstring).  If meta
     is given, it receives kernel_columns, the node count or n_cols for the
@@ -367,23 +375,11 @@ def _received_powers(
     weight = gamma * (ill.re - 2j * ill.im_half) * (geom.pitch_x * geom.pitch_y / FOUR_PI**2)
     w = np.stack([weight.real, weight.imag])
     del weight  # only the real pair stays alive while the sweep runs
-    angles = _chunk_shape(geom.n_rows, geom.n_cols)[0]
-    if len(rx_positions) <= angles:
-        return _powers(ill, w, rx_positions, p_tx)
-    # imported here: it adds ~7 ms to importing the package, and many runs
-    # never sweep more than one chunk
-    from concurrent.futures import ThreadPoolExecutor
-
-    # the checks run on the sweep's threads as well, so their temporaries
-    # reuse the memory of the sweep's chunks
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        # a sweep of at most _WORKERS chunks takes the real columns: its
-        # chunks run in one round, which takes about as long as the checks
-        if len(rx_positions) > _WORKERS * angles:
-            power = _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, pool, meta)
-            if power is not None:
-                return power
-        return _powers(ill, w, rx_positions, p_tx, pool)
+    if len(rx_positions) > 2 * _chunk_shape(geom.n_rows, geom.n_cols)[0]:
+        power = _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, meta)
+        if power is not None:
+            return power
+    return _powers(ill, w, rx_positions, p_tx)
 
 
 @dataclass(frozen=True, eq=False)

@@ -110,6 +110,9 @@ def cmd_run(args) -> int:
         scenario = replace(scenario, sweep_step=args.step)
     if args.seed is not None and scenario.criterion.kind == "diffuser":
         scenario = replace(scenario, criterion=DesignCriterion.diffuser(args.seed))
+    names = [f"interference_{theta:+g}deg.csv" for theta in scenario.interferer_angles]
+    if len(set(names)) < len(names):
+        raise ValueError(f"interferer angles {list(scenario.interferer_angles)} share output file names {names}")
     with _os_errors(f"cannot write {args.out}"):
         os.makedirs(args.out, exist_ok=True)
 
@@ -118,13 +121,9 @@ def cmd_run(args) -> int:
     runtime = time.perf_counter() - t0
 
     outputs = []
-    trace_path = os.path.join(args.out, "trace.csv")
-    _atomic_write(trace_path, trace_csv(result.trace))
-    outputs.append(trace_path)
-    for i, itrace in enumerate(result.interference_traces):
-        theta = result.scenario.interferer_angles[i]
-        path = os.path.join(args.out, f"interference_{theta:+g}deg.csv")
-        _atomic_write(path, trace_csv(itrace))
+    for name, trace in zip(["trace.csv", *names], [result.trace, *result.interference_traces]):
+        path = os.path.join(args.out, name)
+        _atomic_write(path, trace_csv(trace))
         outputs.append(path)
     if args.colormap:
         outputs += _write_colormap(

@@ -53,8 +53,11 @@ class OptimizerReport:
     iterations: int
     objective_trace: list[float]
     converged: bool
-    element_update_count: int
-    updates_per_sweep: list[int]  # sums to element_update_count
+    updates_per_sweep: list[int]
+
+    @property
+    def element_update_count(self) -> int:
+        return sum(self.updates_per_sweep)
 
 
 # Bounds on the number of elements the optimizer scores in one step.
@@ -229,7 +232,6 @@ def optimize_alternating(
         iterations=len(trace) - 1,
         objective_trace=trace,
         converged=converged,
-        element_update_count=sum(updates_per_sweep),
         updates_per_sweep=updates_per_sweep,
     )
     return config, report

@@ -197,6 +197,17 @@ def _reject(msg: str, lenient: bool) -> None:
         raise ScenarioParseError(msg)
 
 
+def _get(cp: configparser.ConfigParser, section: str, key: str, convert, default=None):
+    """convert([section] key), or default if the key is absent; a value that
+    does not convert is a ScenarioParseError naming the key."""
+    if not cp.has_option(section, key):
+        return default
+    try:
+        return convert(cp[section][key])
+    except ValueError as exc:
+        raise ScenarioParseError(f"[{section}] {key}: {exc}") from exc
+
+
 def _resolve_alphabet(name: str) -> Alphabet:
     try:
         if name.startswith("file:"):
@@ -229,41 +240,33 @@ def parse_scenario(text: str, lenient: bool = False) -> Scenario:
         if unknown:
             _reject(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}", lenient)
 
-    sc = cp["scenario"]
-    if "frequency_hz" in sc:
-        frequency = sc.getfloat("frequency_hz")
-    elif "frequency_ghz" in sc:
-        frequency = sc.getfloat("frequency_ghz") * 1e9
-    else:
-        frequency = None
+    frequency = _get(cp, "scenario", "frequency_hz", float)
+    if frequency is None:
+        frequency = _get(cp, "scenario", "frequency_ghz", lambda v: float(v) * 1e9)
 
-    alphabet = None
-    if "alphabet" in sc:
-        alphabet = _resolve_alphabet(sc["alphabet"])
-        if frequency is None:
-            frequency = alphabet.nominal_frequency
+    alphabet = _get(cp, "scenario", "alphabet", _resolve_alphabet)
+    if frequency is None and alphabet is not None:
+        frequency = alphabet.nominal_frequency
     if frequency is None:
         raise ScenarioParseError(
             "scenario needs frequency_hz/frequency_ghz or an alphabet with a nominal frequency"
         )
 
-    kind = sc.get("criterion", "uacp").strip().lower()
+    kind = _get(cp, "scenario", "criterion", lambda v: v.strip().lower(), "uacp")
+    # each criterion field only for the kind that uses it, so that the
+    # result equals the matching DesignCriterion constructor's
+    levels = _get(cp, "scenario", "levels", int) if kind == "uadp" else None
+    seed = _get(cp, "scenario", "seed", int, 0) if kind == "diffuser" else None
+    fields = {
+        field: _get(cp, section, key, convert)
+        for section, keys in _FIELD_KEYS.items()
+        for key, (field, convert) in keys.items()
+        if cp.has_option(section, key)
+    }
     try:
-        # each field only for the kind that uses it, so that the result
-        # equals the matching DesignCriterion constructor's
         criterion = DesignCriterion(
-            kind,
-            levels=sc.getint("levels") if kind == "uadp" else None,
-            alphabet=alphabet if kind in ("uaep", "alphabet") else None,
-            seed=sc.getint("seed", 0) if kind == "diffuser" else None,
+            kind, levels=levels, alphabet=alphabet if kind in ("uaep", "alphabet") else None, seed=seed
         )
-        fields = {
-            field: convert(cp[section][key])
-            for section, keys in _FIELD_KEYS.items()
-            if section in cp
-            for key, (field, convert) in keys.items()
-            if key in cp[section]
-        }
         return Scenario(frequency=frequency, criterion=criterion, **fields)
     except ValueError as exc:
         raise ScenarioParseError(str(exc)) from exc

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 import warnings
@@ -324,6 +325,52 @@ class TestChunking:
         assert len(spec.angles) * geom.n_elements * channel._BYTES_PER_ELEMENT_ANGLE > 10 * budget
         assert peak <= budget + per_grid
 
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The thread pools that kernel calls construct, recorded."""
+        built = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        return built
+
+    def sweep_40(self, count):
+        geom = RisGeometry(40, 40, 0.02, 0.02)
+        spec = SweepSpec(step=180.0 / (count - 1))
+        assert len(spec.angles) == count
+        rng = np.random.default_rng(3)
+        gamma = np.exp(1j * rng.uniform(-np.pi, np.pi, (40, 40)))
+        return sweep(geom, self.wave, Terminal((0.0, 0.0, 3.0)), gamma, spec)
+
+    def test_calls_below_threaded_chunks_start_no_threads(self, pools):
+        # three real-column chunks take the node path, whose chunks hold more
+        # angles; each of its calls, and the real columns, stays below
+        # _THREADED_CHUNKS
+        assert 3 < channel._THREADED_CHUNKS
+        angles = channel._chunk_shape(40, 40)[0]
+        trace = self.sweep_40(3 * angles)
+        assert trace.metadata["kernel_columns"] < 40
+        assert self.sweep_40(angles).metadata["kernel_columns"] == 40
+        assert pools == []
+
+    @pytest.mark.parametrize("node_counts", [channel._NODE_COUNTS, ()], ids=["node-columns", "real-columns"])
+    def test_threaded_call_matches_in_order(self, monkeypatch, pools, node_counts):
+        monkeypatch.setattr(channel, "_NODE_COUNTS", node_counts)
+        # the node path's chunks hold up to 40 / (2 * 8) times the angles
+        count = 3 * channel._THREADED_CHUNKS * channel._chunk_shape(40, 40)[0]
+        threaded = self.sweep_40(count)
+        assert pools == [(channel._WORKERS,)]
+        monkeypatch.setattr(channel, "_THREADED_CHUNKS", 2 * count)  # above any call's chunk count
+        in_order = self.sweep_40(count)
+        assert len(pools) == 1
+        assert (threaded.metadata["kernel_columns"] < 40) == bool(node_counts)
+        assert threaded.metadata == in_order.metadata
+        assert np.array_equal(threaded.power, in_order.power)
+
 
 def _far(criterion, target, pitch_divisor, frequency, aperture=1.0, **kw):
     return Scenario(
@@ -410,12 +457,13 @@ class TestNodeKernel:
         assert first.metadata["kernel_columns"] < first.metadata["grid"][1]
         assert np.array_equal(first.power, second.power)
 
-    def test_sweep_of_one_round_uses_real_columns(self):
-        # up to _WORKERS chunks run in one round: no node path below that
+    def test_sweep_of_two_chunks_uses_real_columns(self):
+        # the checks would take about as long as two chunks: no node path
+        # up to that
         geom = RisGeometry(40, 40, 0.02, 0.02)
-        one_round = channel._WORKERS * channel._chunk_shape(40, 40)[0]
+        two_chunks = 2 * channel._chunk_shape(40, 40)[0]
         columns = []
-        for count in (one_round, one_round + 1):
+        for count in (two_chunks, two_chunks + 1):
             spec = SweepSpec(step=180.0 / (count - 1))
             assert len(spec.angles) == count
             trace = sweep(geom, Wave(10e9), Terminal((0.0, 0.0, 3.0)), np.ones((40, 40), complex), spec)

@@ -141,6 +141,9 @@ class TestRunCommand:
             ("step_deg", "1e-320", "step"),
             ("step_deg", "1e-9", "sweep_step 1e-09"),
             ("step_deg", "200", "fewer than 3 angles"),
+            ("target_angle_deg", "abc", "[scenario] target_angle_deg"),
+            ("frequency_ghz", "5.x", "[scenario] frequency_ghz"),
+            pytest.param("criterion", "uadp\nlevels = 2.5", "[scenario] levels", id="levels-2.5-levels"),
         ],
     )
     def test_bad_number_exit_2(self, tmp_path, capsys, key, value, field):
@@ -165,6 +168,15 @@ class TestRunCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "interferer angle" in err[0]
+
+    @pytest.mark.parametrize("angles", ["10, 10.0000001", "-15, 20, -15"])
+    def test_interferer_angles_sharing_a_file_name_exit_2(self, tmp_path, capsys, angles):
+        path = tmp_path / "s.ini"
+        path.write_text(SCENARIO_TEXT + f"\n[interference]\nangles_deg = {angles}\n")
+        rc = main(["run", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "interference_" in single_error_line(capsys)
+        assert not (tmp_path / "o").exists()
 
     def test_bad_step_override_exit_2(self, tmp_path, scenario_file, capsys):
         for step, named in (("0", "sweep_step"), ("1e-9", "sweep_step 1e-09")):

@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rispattern import (
     DesignCriterion,
     Scenario,
+    builtin_names,
     parse_scenario,
     run_scenario,
 )
@@ -246,3 +248,68 @@ class TestParseScenario:
         r = run_scenario(s)
         assert len(r.interference_traces) == 2
         assert abs(r.metrics.peak_angle - 45.0) < 5.0
+
+
+def _number(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# Each key's valid values as a strategy, and values that are not valid.
+# Small apertures and steps of at least 1 deg keep each run to a few ms.
+_SCENARIO_KEYS = {
+    "scenario": {
+        "frequency_ghz": (_number(1.0, 6.0), ()),
+        "alphabet": (st.sampled_from(builtin_names()), ("bogus",)),
+        "criterion": (st.sampled_from(["uacp", "uadp", "uaep", "alphabet", "specular", "diffuser"]), ()),
+        "levels": (st.integers(2, 8).map(str), ("2.5", "1")),
+        "seed": (st.integers(0, 999).map(str), ("-1", "1.5")),
+        "target_angle_deg": (_number(-89.0, 89.0), ("90",)),
+        "pitch_divisor": (_number(2.0, 4.0), ("0",)),
+        "aperture_m": (_number(0.02, 0.12), ("-0.1",)),
+        "field_regime": (st.sampled_from(["far", "near", "NEAR"]), ("mid",)),
+        "near_radius_m": (_number(0.5, 5.0), ("0",)),
+        "p_tx_w": (_number(0.1, 2.0), ("0",)),
+    },
+    "sweep": {"step_deg": (_number(1.0, 30.0), ("0", "1e-9", "200"))},
+    "interference": {"angles_deg": (st.lists(_number(-80.0, 80.0), max_size=2).map(", ".join), ("95", "10; 20"))},
+}
+
+
+@st.composite
+def scenario_texts(draw):
+    """Scenario files with any subset of the keys; half of them give one
+    key a value that is not valid."""
+    values = {
+        (section, key): draw(st.one_of(st.none(), valid))
+        for section, keys in _SCENARIO_KEYS.items()
+        for key, (valid, _) in keys.items()
+    }
+    bad = draw(st.one_of(st.none(), st.sampled_from(sorted(values))))
+    if bad is not None:
+        section, key = bad
+        values[bad] = draw(st.sampled_from(_SCENARIO_KEYS[section][key][1] + ("abc", "5.x", "", "nan", "-inf")))
+    lines = []
+    for section in _SCENARIO_KEYS:
+        given_keys = [(key, v) for (s, key), v in values.items() if s == section and v is not None]
+        if section == "scenario" or given_keys:
+            lines += [f"[{section}]", *(f"{key} = {v}" for key, v in given_keys)]
+    return "\n".join(lines) + "\n"
+
+
+class TestRunContract:
+    @settings(max_examples=40, deadline=None)
+    @example("[scenario]\nfrequency_ghz = 5.x\n")
+    @given(scenario_texts())
+    def test_rejected_or_runs_on_the_documented_grid(self, text):
+        """A scenario file either fails to parse with ScenarioParseError or
+        runs to finite, non-negative power on the [-90, 90] grid of its step."""
+        try:
+            s = parse_scenario(text)
+        except ScenarioParseError:
+            return
+        result = run_scenario(s)
+        grid = np.linspace(-90.0, 90.0, round(180.0 / s.sweep_step) + 1)
+        assert len(result.interference_traces) == len(s.interferer_angles)
+        for trace in (result.trace, *result.interference_traces):
+            assert np.array_equal(trace.angles, grid)
+            assert np.all(np.isfinite(trace.power)) and np.all(trace.power >= 0)
