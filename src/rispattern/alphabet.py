@@ -231,6 +231,8 @@ def load_alphabet(text: str, source_label: str = "") -> Alphabet:
         try:
             amp = float(cells[i_amp])
             ph = float(cells[i_ph])
+            if i_ctrl is not None:
+                controls.append(float(cells[i_ctrl]))
         except (ValueError, IndexError) as exc:
             raise AlphabetError(f"line {lineno}: cannot parse row {cells}") from exc
         if amp_unit == "db":
@@ -241,8 +243,6 @@ def load_alphabet(text: str, source_label: str = "") -> Alphabet:
             entries.append(ComplexCoefficient(amp, ph))
         except AlphabetError as exc:
             raise AlphabetError(f"line {lineno}: {exc}") from None
-        if i_ctrl is not None:
-            controls.append(float(cells[i_ctrl]))
 
     seen = {}
     for idx, e in enumerate(entries):

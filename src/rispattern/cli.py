@@ -1,6 +1,10 @@
 """Command-line front end: scenario runs, alphabet inspection, color-map
 export and reproducibility manifests.
 
+A run takes every setting from its scenario file; the flags choose only
+output paths, the element budget and the gamma export. Alphabets are named
+as in scenario files: a built-in name, `uadp:<L>` or `file:<path>`.
+
 Exit codes, decided only in `main`: 0 success; 1 a scenario that fails to
 design or run; 2 input rejected at the boundary, an unreadable input or an
 unwritable output.
@@ -18,17 +22,17 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .alphabet import DesignCriterion, builtin, builtin_names, constellation_stats, dump_alphabet, load_alphabet, uadp_set
+from .alphabet import builtin_names, constellation_stats, dump_alphabet
 from .scenario import (
     DEFAULT_ELEMENT_BUDGET,
     ElementBudgetError,
     design_scenario,
     parse_scenario,
+    resolve_alphabet,
     run_scenario,
 )
 
@@ -105,11 +109,7 @@ def _design_or_run(stage, scenario, allow_large: bool):
 
 def cmd_run(args) -> int:
     text = _read_text(args.scenario, "scenario file")
-    scenario = parse_scenario(text, lenient=args.lenient)
-    if args.step is not None:
-        scenario = replace(scenario, sweep_step=args.step)
-    if args.seed is not None and scenario.criterion.kind == "diffuser":
-        scenario = replace(scenario, criterion=DesignCriterion.diffuser(args.seed))
+    scenario = parse_scenario(text)
     names = [f"interference_{theta:+g}deg.csv" for theta in scenario.interferer_angles]
     if len(set(names)) < len(names):
         raise ValueError(f"interferer angles {list(scenario.interferer_angles)} share output file names {names}")
@@ -136,7 +136,6 @@ def cmd_run(args) -> int:
     manifest = {
         "tool_version": __version__,
         "scenario_digest": canonical_digest(text),
-        "seed": args.seed,
         "runtime_s": round(runtime, 6),
         "outputs": [os.path.basename(p) for p in outputs],
         "grid": list(meta["grid"]),
@@ -154,20 +153,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _resolve_alphabet_arg(name: str):
-    if name.startswith("uadp:"):
-        try:
-            levels = int(name[5:])
-        except ValueError:
-            raise ValueError(f"alphabet {name!r} needs an integer L in uadp:<L>") from None
-        return uadp_set(levels)
-    if os.path.exists(name):
-        return load_alphabet(_read_text(name, "alphabet file"), source_label=name)
-    return builtin(name)
-
-
 def cmd_alphabet(args) -> int:
-    alph = _resolve_alphabet_arg(args.name)
+    alph = resolve_alphabet(args.name)
     print(f"alphabet: {alph.source_label or args.name}  (L={alph.cardinality})")
     has_ctrl = alph.control_values is not None
     header = "  idx  amplitude    phase_deg"
@@ -190,7 +177,7 @@ def cmd_alphabet(args) -> int:
 
 def cmd_colormap(args) -> int:
     """Design the scenario's surface and export gamma, without sweeping."""
-    scenario = parse_scenario(_read_text(args.scenario, "scenario file"), lenient=args.lenient)
+    scenario = parse_scenario(_read_text(args.scenario, "scenario file"))
     design = _design_or_run(design_scenario, scenario, args.allow_large)
     base, ext = os.path.splitext(args.out)
     phase_path, amp_path = _write_colormap(design.config.gamma, args.out, f"{base}_amplitude{ext or '.csv'}")
@@ -209,15 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario file and export traces")
     p_run.add_argument("scenario", help="path to a scenario file")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--step", type=float, default=None, help="override sweep step (deg)")
-    p_run.add_argument("--seed", type=int, default=None, help="override diffuser seed")
     p_run.add_argument("--allow-large", action="store_true", help="lift the element budget")
-    p_run.add_argument("--lenient", action="store_true", help="warn instead of failing on unknown scenario keys")
     p_run.add_argument("--colormap", action="store_true", help="also export gamma phase/amplitude matrices")
     p_run.set_defaults(func=cmd_run)
 
-    p_alpha = sub.add_parser("alphabet", help="inspect a built-in, uadp:<L>, or file alphabet")
-    p_alpha.add_argument("name", help=f"one of {', '.join(builtin_names())}, uadp:<L>, or a file path")
+    p_alpha = sub.add_parser("alphabet", help="inspect a built-in, uadp:<L> or file:<path> alphabet")
+    p_alpha.add_argument("name", help=f"one of {', '.join(builtin_names())}, uadp:<L> or file:<path>")
     p_alpha.add_argument("--export", default=None, help="write the canonical alphabet file here")
     p_alpha.set_defaults(func=cmd_alphabet)
 
@@ -225,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmap.add_argument("scenario", help="path to a scenario file")
     p_cmap.add_argument("--out", default="gamma_phase_deg.csv", help="phase matrix output path")
     p_cmap.add_argument("--allow-large", action="store_true")
-    p_cmap.add_argument("--lenient", action="store_true")
     p_cmap.set_defaults(func=cmd_colormap)
 
     p_ver = sub.add_parser("version", help="print the tool version")
@@ -240,8 +223,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ScenarioFailure as exc:
         code, msg = 1, str(exc)
-    except KeyError as exc:  # str() of a KeyError quotes its message
-        code, msg = 2, exc.args[0]
     except (OSError, ValueError) as exc:
         code, msg = 2, str(exc)
     print(f"error: {msg}", file=sys.stderr)

@@ -130,10 +130,11 @@ class BeamMetrics:
     sidelobes: tuple[tuple[float, float], ...]  # (angle, power), descending power
 
 
-def rx_arc_position(radius: float, theta_deg: float) -> tuple[float, float, float]:
-    """Receiver position on the xz-plane arc at the given polar angle."""
-    t = math.radians(theta_deg)
-    return (radius * math.sin(t), 0.0, radius * math.cos(t))
+def rx_arc_position(radius: float, theta_deg) -> np.ndarray:
+    """Receiver position on the xz-plane arc at the given polar angle: a
+    (3,) array for one angle, (A, 3) for an array of A angles."""
+    t = np.radians(theta_deg)
+    return np.stack([radius * np.sin(t), np.zeros_like(t), radius * np.cos(t)], axis=-1)
 
 
 def sweep(
@@ -152,8 +153,7 @@ def sweep(
     else:
         radius = far_field_radius(geom, wave)
     angles = spec.angles
-    t = np.radians(angles)  # the positions of `rx_arc_position`, all at once
-    positions = np.column_stack([radius * np.sin(t), np.zeros(len(t)), radius * np.cos(t)])
+    positions = rx_arc_position(radius, angles)
     gamma = np.asarray(getattr(config, "gamma", config))
     if gamma.shape != (geom.n_rows, geom.n_cols):
         raise ValueError(f"gamma shape {gamma.shape} does not match geometry")

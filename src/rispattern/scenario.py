@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .alphabet import Alphabet, DesignCriterion, builtin
+from .alphabet import Alphabet, DesignCriterion, builtin, builtin_names, uadp_set
 from .channel import ChannelPair
 from .core import RisGeometry, Terminal, Wave
 from .designer import OptimizerReport, SurfaceConfig, design_for_criterion
@@ -160,7 +160,7 @@ def run_scenario(
 
 # ---------------------------------------------------------------------------
 # Scenario files: INI-style key-value text with [scenario], [sweep] and
-# [interference] sections.  Unknown keys are an error unless lenient.
+# [interference] sections.  An unknown section or key is an error.
 # ---------------------------------------------------------------------------
 
 # Keys that set one Scenario field each, with their conversion; an absent
@@ -189,14 +189,6 @@ class ScenarioParseError(ValueError):
     pass
 
 
-def _reject(msg: str, lenient: bool) -> None:
-    """Warn about an unknown section or key when lenient, else raise."""
-    if lenient:
-        warnings.warn(msg, stacklevel=3)
-    else:
-        raise ScenarioParseError(msg)
-
-
 def _get(cp: configparser.ConfigParser, section: str, key: str, convert, default=None):
     """convert([section] key), or default if the key is absent; a value that
     does not convert is a ScenarioParseError naming the key."""
@@ -208,21 +200,33 @@ def _get(cp: configparser.ConfigParser, section: str, key: str, convert, default
         raise ScenarioParseError(f"[{section}] {key}: {exc}") from exc
 
 
-def _resolve_alphabet(name: str) -> Alphabet:
+def resolve_alphabet(name: str) -> Alphabet:
+    """The alphabet a name denotes: a built-in name, `uadp:<L>` or
+    `file:<path>`.  Any other name, or one that cannot be used, is a
+    ScenarioParseError naming it."""
+    kind, _, arg = name.partition(":")
     try:
-        if name.startswith("file:"):
+        if kind == "uadp":
+            return uadp_set(int(arg))
+        if kind == "file":
+            # looked up at call time, so that tracing the alphabet module's
+            # `load_alphabet` (perfbench/layers.py) sees this call
             from .alphabet import load_alphabet
 
-            with open(name[5:], encoding="utf-8") as fh:
-                return load_alphabet(fh.read(), source_label=name[5:])
+            with open(arg, encoding="utf-8") as fh:
+                return load_alphabet(fh.read(), source_label=arg)
         return builtin(name)
-    except KeyError as exc:
-        raise ScenarioParseError(exc.args[0]) from None
-    except (OSError, ValueError) as exc:
+    except KeyError:
+        raise ScenarioParseError(
+            f"unknown alphabet {name!r}; give one of {', '.join(builtin_names())}, uadp:<L> or file:<path>"
+        ) from None
+    except OSError as exc:
+        raise ScenarioParseError(f"cannot read alphabet file {arg}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
         raise ScenarioParseError(f"cannot use alphabet {name!r}: {exc}") from exc
 
 
-def parse_scenario(text: str, lenient: bool = False) -> Scenario:
+def parse_scenario(text: str) -> Scenario:
     """Parse a scenario definition from INI-style text."""
     cp = configparser.ConfigParser()
     try:
@@ -234,17 +238,16 @@ def parse_scenario(text: str, lenient: bool = False) -> Scenario:
 
     for section in cp.sections():
         if section not in _FIELD_KEYS:
-            _reject(f"unknown section [{section}]", lenient)
-            continue
+            raise ScenarioParseError(f"unknown section [{section}]")
         unknown = set(cp[section]) - _KNOWN_KEYS[section]
         if unknown:
-            _reject(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}", lenient)
+            raise ScenarioParseError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
 
     frequency = _get(cp, "scenario", "frequency_hz", float)
     if frequency is None:
         frequency = _get(cp, "scenario", "frequency_ghz", lambda v: float(v) * 1e9)
 
-    alphabet = _get(cp, "scenario", "alphabet", _resolve_alphabet)
+    alphabet = _get(cp, "scenario", "alphabet", resolve_alphabet)
     if frequency is None and alphabet is not None:
         frequency = alphabet.nominal_frequency
     if frequency is None:

@@ -136,6 +136,12 @@ class TestLoadAlphabet:
         with pytest.raises(AlphabetError, match="line 3"):
             load_alphabet(text)
 
+    @pytest.mark.parametrize("row", ["0.5,10", "0.5,10,x"])
+    def test_bad_control_cell_names_row(self, row):
+        text = f"amplitude,phase,control\n1.0,0,0\n{row}\n"
+        with pytest.raises(AlphabetError, match="line 3"):
+            load_alphabet(text)
+
     def test_missing_column(self):
         with pytest.raises(AlphabetError, match="header"):
             load_alphabet("amplitude,angle\n1.0,0\n")

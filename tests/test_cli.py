@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rispattern import __version__, cli, parse_scenario, run_scenario
+from rispattern import __version__, parse_scenario, run_scenario
 from rispattern import scenario as scenario_module
 from rispattern.cli import canonical_digest, main, trace_csv
 
@@ -65,6 +65,15 @@ class TestRunCommand:
         assert manifest["criterion"] == "UACP"
         assert "trace.csv" in manifest["outputs"]
         assert abs(manifest["peak_angle_deg"] - 45.0) < 5.0
+
+    def test_manifest_names_the_seed_in_the_criterion(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text(SCENARIO_TEXT.replace("criterion = uacp", "criterion = diffuser\nseed = 7"))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["criterion"] == "Diffuser(seed=7)"
+        assert "seed" not in manifest
 
     def test_manifest_records_real_column_kernel(self, tmp_path, scenario_file):
         # 181 angles over a ~11 x 11 grid are one chunk: the real columns run
@@ -178,28 +187,15 @@ class TestRunCommand:
         assert "interference_" in single_error_line(capsys)
         assert not (tmp_path / "o").exists()
 
-    def test_bad_step_override_exit_2(self, tmp_path, scenario_file, capsys):
-        for step, named in (("0", "sweep_step"), ("1e-9", "sweep_step 1e-09")):
-            rc = main(["run", str(scenario_file), "--out", str(tmp_path / "o"), "--step", step])
-            assert rc == 2
-            assert named in single_error_line(capsys)
-            assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("how", ["file", "flag"])
+    @pytest.mark.parametrize("how", ["file"])
     def test_negative_seed_exit_2(self, tmp_path, capsys, how):
         text = SCENARIO_TEXT.replace("criterion = uacp", "criterion = diffuser")
         path = tmp_path / "s.ini"
-        path.write_text(text.replace("[sweep]", "seed = -1\n\n[sweep]") if how == "file" else text)
-        flag = ["--seed", "-5"] if how == "flag" else []
-        rc = main(["run", str(path), "--out", str(tmp_path / "o"), *flag])
+        path.write_text(text.replace("[sweep]", "seed = -1\n\n[sweep]"))
+        rc = main(["run", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "seed" in single_error_line(capsys)
         assert not (tmp_path / "o").exists()
-
-    def test_step_override_leaving_two_angles_exit_2(self, tmp_path, scenario_file, capsys):
-        rc = main(["run", str(scenario_file), "--out", str(tmp_path / "o"), "--step", "200"])
-        assert rc == 2
-        assert "fewer than 3 angles" in single_error_line(capsys)
 
     def test_out_naming_a_file_exit_2(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "taken"
@@ -213,12 +209,6 @@ class TestRunCommand:
         taken.mkdir(parents=True)
         assert main(["run", str(scenario_file), "--out", str(tmp_path / "out"), "--colormap"]) == 2
         assert str(taken) in single_error_line(capsys)
-
-    def test_step_override(self, tmp_path, scenario_file):
-        out = tmp_path / "out"
-        main(["run", str(scenario_file), "--out", str(out), "--step", "10"])
-        rows = (out / "trace.csv").read_text().splitlines()[1:]
-        assert len(rows) == 19
 
     def test_interference_outputs(self, tmp_path):
         path = tmp_path / "s.ini"
@@ -271,7 +261,7 @@ class TestAlphabetCommand:
         assert repr(name) in single_error_line(capsys)
 
     def test_directory_exit_2(self, tmp_path, capsys):
-        assert main(["alphabet", str(tmp_path)]) == 2
+        assert main(["alphabet", f"file:{tmp_path}"]) == 2
         assert "cannot read alphabet file" in single_error_line(capsys)
 
     def test_unreadable_file_exit_2(self, tmp_path, capsys, monkeypatch):
@@ -281,10 +271,10 @@ class TestAlphabetCommand:
         def refuse(*args, **kwargs):
             raise PermissionError(13, "Permission denied", str(path))
 
-        # shadows the builtin inside the cli module only; mode bits cannot
-        # make a file unreadable to a superuser
-        monkeypatch.setattr(cli, "open", refuse, raising=False)
-        assert main(["alphabet", str(path)]) == 2
+        # shadows the builtin inside the scenario module only; mode bits
+        # cannot make a file unreadable to a superuser
+        monkeypatch.setattr(scenario_module, "open", refuse, raising=False)
+        assert main(["alphabet", f"file:{path}"]) == 2
         assert "Permission denied" in single_error_line(capsys)
 
     def test_export_into_missing_directory_exit_2(self, tmp_path, capsys):
@@ -299,9 +289,24 @@ class TestAlphabetCommand:
         text = target.read_text()
         assert "# amplitude_unit: linear" in text
         capsys.readouterr()
-        rc = main(["alphabet", str(target)])
+        rc = main(["alphabet", f"file:{target}"])
         assert rc == 0
-        assert "L=2" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"alphabet: {target}  (L=2)" in out
+        assert "    1   0.550000   -145.0000" in out
+
+    def test_bare_path_exit_2_names_the_forms(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_text("amplitude,phase\n1.0,0\n")
+        assert main(["alphabet", str(path)]) == 2
+        err = single_error_line(capsys)
+        assert "testbed2p3" in err and "uadp:<L>" in err and "file:<path>" in err
+
+    def test_missing_control_cell_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_text("amplitude,phase,control\n0.5,10\n")
+        assert main(["alphabet", f"file:{path}"]) == 2
+        assert "line 2" in single_error_line(capsys)
 
 
 class TestColormap:

@@ -205,12 +205,6 @@ class TestParseScenario:
         with pytest.raises(ScenarioParseError, match="frequncy"):
             parse_scenario(text)
 
-    def test_unknown_key_lenient_warns(self):
-        text = "[scenario]\nfrequency_ghz = 2.3\nfrequncy = 5\n"
-        with pytest.warns(UserWarning, match="frequncy"):
-            s = parse_scenario(text, lenient=True)
-        assert s.frequency == pytest.approx(2.3e9)
-
     def test_unknown_section_strict(self):
         text = "[scenario]\nfrequency_ghz = 2.3\n[plotting]\ncolor = red\n"
         with pytest.raises(ScenarioParseError, match="plotting"):
@@ -233,6 +227,15 @@ class TestParseScenario:
         s = parse_scenario(text)
         assert s.criterion.kind == "diffuser"
         assert s.criterion.seed == 9
+
+    def test_uadp_alphabet_runs(self):
+        text = (
+            "[scenario]\nfrequency_ghz = 2.3\nalphabet = uadp:4\ncriterion = alphabet\n"
+            "aperture_m = 0.1\n\n[sweep]\nstep_deg = 5\n"
+        )
+        r = run_scenario(parse_scenario(text))
+        assert r.trace.metadata["criterion"] == "Alphabet(uadp(4))"
+        assert r.report is not None
 
     def test_malformed_ini(self):
         with pytest.raises(ScenarioParseError, match="malformed"):
@@ -259,7 +262,7 @@ def _number(lo, hi):
 _SCENARIO_KEYS = {
     "scenario": {
         "frequency_ghz": (_number(1.0, 6.0), ()),
-        "alphabet": (st.sampled_from(builtin_names()), ("bogus",)),
+        "alphabet": (st.sampled_from([*builtin_names(), "uadp:2", "uadp:8"]), ("bogus", "uadp:1", "uadp:x")),
         "criterion": (st.sampled_from(["uacp", "uadp", "uaep", "alphabet", "specular", "diffuser"]), ()),
         "levels": (st.integers(2, 8).map(str), ("2.5", "1")),
         "seed": (st.integers(0, 999).map(str), ("-1", "1.5")),
