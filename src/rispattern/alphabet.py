@@ -89,10 +89,23 @@ class Alphabet:
         return np.array([e.phase for e in self.entries])
 
 
+# The most phases an evenly-spaced set may have: 6-bit phase control, in
+# steps of 5.6 deg (the built-in measured alphabets have 2-14 states).  The
+# bound turns a mistyped L into an error before any entry is built, and it
+# caps a UADP design's peak memory, about four (elements x L) float arrays:
+# 0.8 GB at L = 64 and the 400,000-element budget.
+_UADP_MAX_LEVELS = 64
+
+
+def _check_uadp_levels(levels: int) -> None:
+    """Reject an evenly-spaced phase count outside [2, _UADP_MAX_LEVELS]."""
+    if not 2 <= levels <= _UADP_MAX_LEVELS:
+        raise ValueError(f"evenly-spaced phase set needs 2 <= L <= {_UADP_MAX_LEVELS}, got {levels}")
+
+
 def uadp_set(levels: int) -> Alphabet:
     """Unit-amplitude alphabet with L evenly-spaced phases 2*pi*n/L, n=0..L-1."""
-    if levels < 2:
-        raise ValueError(f"evenly-spaced phase set needs L >= 2, got {levels}")
+    _check_uadp_levels(levels)
     entries = tuple(
         ComplexCoefficient(1.0, 2.0 * math.pi * n / levels) for n in range(levels)
     )
@@ -297,8 +310,9 @@ class DesignCriterion:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
         if self.kind == "uadp":
-            if self.levels is None or self.levels < 2:
-                raise ValueError("uadp criterion needs levels >= 2")
+            if self.levels is None:
+                raise ValueError("uadp criterion needs levels")
+            _check_uadp_levels(self.levels)
         if self.kind in ("uaep", "alphabet") and self.alphabet is None:
             raise ValueError(f"{self.kind} criterion needs a bound alphabet")
         if self.seed is not None and self.seed < 0:

@@ -4,19 +4,39 @@ alternating optimization over an arbitrary finite reflection alphabet.
 The alternating optimizer sweeps the elements in row-major order and gives
 each one the alphabet entry that maximizes the exact quadratic objective
 against the field sum of all other elements, changing it only on a strict
-improvement.  Between two such updates the field total does not move, so
-every element's scores are a function of that one total.  The optimizer
-therefore scores a block of consecutive elements against the fixed total in
-one vectorized step, applies the first strict improvement in the block,
-moves the total by that element's change alone, and resumes just after it.
-That makes the decisions of a one-element-at-a-time loop; what it drops is
-re-adding an unchanged element's term to the total, which only rounds.
-A block grows while it holds no update and shrinks after one.  The total is
-recomputed from scratch at the end of each sweep to cap rounding drift.
+improvement, ties to the lowest index.  The field total moves only when an
+element changes, and it is recomputed from scratch at the end of each sweep.
+
+Most visits change nothing, and the optimizer proves that rather than
+scoring them: a certified-skip scan.  Element i, holding entry m, improves
+only if its margin (the best alternative's score minus the current score)
+is positive.  When the total moves by Delta, that margin moves by at most
+c_i |Delta|, with c_i = 2 |g_i h_i| max_l |v_l - v_m|.  A round starts at an
+element with total T0 and computes the margins of the next _WINDOW elements
+in one vectorized step.  An element whose margin + c_i D + allowance is
+negative cannot improve while |T - T0| <= D, the round's drift budget of
+_DRIFT_STEPS typical single-update moves, so it is skipped unscored.  The
+others are rescored exactly, in order, against the current total.  An
+update that takes |T - T0| past D ends the round, and the next one starts
+just after that element.  If more than a quarter of a window are
+candidates, as in a first sweep, the round rescores all of it and the
+budget does not apply.
+
+Why this is exact.  The allowance,
+_ROUNDING * (max|v|^2 |gh_i|^2 + 2 |gh_i| max|v| (|T| + |t_i|)), exceeds
+twice the rounding error of any computed margin, whatever the evaluation
+order, so an element skipped here could not have shown an improvement to a
+scan that scored it.  A rescore uses Python floats, while numpy's array
+complex multiply may use fused multiply-adds and round differently.  So
+when the best two scores lie within the allowance, the decision is taken
+again with the block scan's numpy expression, rounded as numpy rounds it.
+The total moves by Python complex products, which round like numpy's
+scalar ones: both use the four-multiply formula without fused operations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +80,13 @@ class OptimizerReport:
         return sum(self.updates_per_sweep)
 
 
-# Bounds on the number of elements the optimizer scores in one step.
-_BLOCK_MIN = 16
-_BLOCK_MAX = 1024
+# The certified-skip scan (module docstring): elements per round, the drift
+# budget in typical single-update moves, and the rounding allowance factor.
+_WINDOW = 512
+_DRIFT_STEPS = 4.0
+_ROUNDING = 64 * np.finfo(float).eps
+_ROWS = np.arange(_WINDOW)
+_NEG = -math.inf
 
 
 def _target_phase(pair: ChannelPair) -> np.ndarray:
@@ -125,8 +149,6 @@ def optimize_alternating(
     init: SurfaceConfig | None = None,
     epsilon: float | None = None,
     max_sweeps: int = 100,
-    random_restarts: int = 0,
-    restart_seed: int = 0,
 ) -> tuple[SurfaceConfig, OptimizerReport]:
     """Alternating (coordinate) ascent of |sum g gamma h|^2 over the alphabet.
 
@@ -137,28 +159,9 @@ def optimize_alternating(
     a strict improvement.  The outer loop stops once a full sweep moves the
     objective by at most epsilon (default 1e-6 relative to the initial
     value), or after max_sweeps sweeps (converged=False, best-so-far
-    returned).
-
-    Coordinate ascent is a local method; random_restarts > 0 reruns it from
-    that many seeded random feasible initializations and keeps the best run
-    (every run's output is still coordinate-wise optimal).
+    returned).  Coordinate ascent is a local method: the output is
+    coordinate-wise optimal, not necessarily the global optimum.
     """
-    if random_restarts > 0:
-        best = optimize_alternating(pair, alphabet, init, epsilon, max_sweeps)
-        rng = np.random.default_rng(restart_seed)
-        shape = pair.g.shape
-        values = alphabet.values
-        for _ in range(random_restarts):
-            idx0 = rng.integers(0, len(values), size=shape)
-            start = SurfaceConfig(
-                values[idx0],
-                DesignCriterion.from_alphabet(alphabet),
-                alphabet_indices=idx0,
-            )
-            run = optimize_alternating(pair, alphabet, start, epsilon, max_sweeps)
-            if run[1].objective_trace[-1] > best[1].objective_trace[-1]:
-                best = run
-        return best
     values = alphabet.values
     value_abs2 = np.abs(values) ** 2
     gh = (pair.g * pair.h).ravel()
@@ -171,8 +174,11 @@ def optimize_alternating(
         idx = init.alphabet_indices.ravel().copy()
     else:
         idx = np.zeros(n_el, dtype=int)
-    gamma = values[idx]
 
+    # gh * gamma, not gh * values[idx]: numpy may compute a product with a
+    # large temporary in place with the operands swapped, and its fused
+    # complex multiply rounds differently with them swapped
+    gamma = values[idx]
     terms = gh * gamma
     total = np.sum(terms)
     f0 = abs(total) ** 2
@@ -181,39 +187,85 @@ def optimize_alternating(
     if epsilon < 0:
         raise ValueError(f"tolerance must be >= 0, got {epsilon}")
 
+    # The skip test's constants.  spread[m] = max_l |v_l - v_m| bounds how
+    # fast the score differences of an element holding entry m move with the
+    # total; the drift budget is a few typical single-update steps.
+    v_max = float(np.abs(values).max())
+    spread = np.array([np.abs(values - v).max() for v in values])
+    budget = _DRIFT_STEPS * float(np.mean(np.abs(gh))) * float(spread.max())
+    # rounding allowance = fixed |gh|^2 + per_total |gh| (|total| + |term|)
+    fixed = _ROUNDING * v_max**2
+    per_total = _ROUNDING * 2.0 * v_max
+    # score_l = |v_l|^2 |gh|^2 + 2 Re(v_l q) with q = gh conj(alpha): each
+    # entry's coefficients of |gh|^2, Re q and Im q
+    coef = np.stack([value_abs2, 2.0 * values.real, -2.0 * values.imag], axis=1)
+    entries = coef.tolist()
+    values_list = values.tolist()
+
     trace = [f0]
     updates_per_sweep = []
     converged = False
-    rows = np.arange(_BLOCK_MAX)
-    block = _BLOCK_MIN
     for _ in range(max_sweeps):
         updates = 0
+        now = complex(total)
         start = 0
         while start < n_el:
-            # the total is fixed until the next update, so score the run-up to
-            # it in one step: every element against the same total
-            stop = min(start + block, n_el)
-            alpha = total - terms[start:stop]
-            scores = value_abs2 * gh_abs2[start:stop, None] + 2.0 * (
-                values * gh[start:stop, None] * alpha.conj()[:, None]
-            ).real
-            current = scores[rows[: stop - start], idx[start:stop]]
-            better = np.flatnonzero(scores.max(1) > current)
-            if better.size == 0:
+            # one round: margins of a window against the round's total, then
+            # exact rescoring, in order, of the elements the drift can reach
+            stop = min(start + _WINDOW, n_el)
+            w = slice(start, stop)
+            rows = _ROWS[: stop - start]
+            cur, t, g, g2 = idx[w], terms[w], gh[w], gh_abs2[w]
+            g_abs = np.sqrt(g2)
+            slope = per_total * g_abs
+            q = g * (now - t).conj()
+            scores = coef[:, :1] * g2 + coef[:, 1:2] * q.real + coef[:, 2:] * q.imag
+            margin = -scores[cur, rows]
+            scores[cur, rows] = -np.inf
+            margin += scores.max(0)
+            allow = fixed * g2 + slope * np.abs(t)
+            reach = 2.0 * budget * g_abs * spread[cur] + allow + slope * (abs(now) + budget)
+            cand = np.flatnonzero(margin + reach >= 0)
+            dense = 4 * cand.size > stop - start
+            if dense:
+                cand = rows
+            origin = now
+            size = abs(now)
+            for j, current, t_j, gh_j, g2_j, tol, slope_j in zip(
+                (cand + start).tolist(),
+                cur[cand].tolist(),
+                t[cand].tolist(),
+                g[cand].tolist(),
+                g2[cand].tolist(),
+                allow[cand].tolist(),
+                slope[cand].tolist(),
+            ):
+                alpha = now - t_j
+                q = gh_j * alpha.conjugate()
+                qr, qi = q.real, q.imag
+                s = [a * g2_j + (r * qr + i * qi) for a, r, i in entries]
+                top = max(s)
+                best = s.index(top)
+                s[best] = _NEG
+                if max(s) >= top - tol - slope_j * size:
+                    # a tie to within rounding: decide it with the block
+                    # expression, rounded as numpy rounds it
+                    exact = value_abs2 * gh_abs2[j] + 2.0 * (values * gh[j] * np.conj(alpha)).real
+                    best = int(np.argmax(exact)) if exact.max() > exact[current] else current
+                if best == current:
+                    continue
+                idx[j] = best
+                now = alpha + gh_j * values_list[best]
+                size = abs(now)
+                updates += 1
+                if not dense and abs(now - origin) > budget:
+                    start = j + 1
+                    break
+            else:
                 start = stop
-                block = min(2 * block, _BLOCK_MAX)
-                continue
-            # terms[i] goes stale here, but this sweep does not come back to i
-            row = better[0]
-            i = start + row
-            idx[i] = np.argmax(scores[row])
-            gamma[i] = values[idx[i]]
-            total = alpha[row] + gh[i] * gamma[i]
-            updates += 1
-            start = i + 1
-            block = max(block // 4, _BLOCK_MIN)
         updates_per_sweep.append(updates)
         # full recompute per sweep caps incremental rounding drift
+        gamma = values[idx]
         terms = gh * gamma
         total = np.sum(terms)
         f_new = abs(total) ** 2

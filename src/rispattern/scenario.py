@@ -270,6 +270,14 @@ def parse_scenario(text: str) -> Scenario:
         criterion = DesignCriterion(
             kind, levels=levels, alphabet=alphabet if kind in ("uaep", "alphabet") else None, seed=seed
         )
-        return Scenario(frequency=frequency, criterion=criterion, **fields)
+        scenario = Scenario(frequency=frequency, criterion=criterion, **fields)
     except ValueError as exc:
         raise ScenarioParseError(str(exc)) from exc
+    # a key read by one criterion only would be dropped by any other; an
+    # alphabet still supplies the nominal frequency, so it is kept
+    for key, owner in (("levels", "uadp"), ("seed", "diffuser")):
+        if kind != owner and cp.has_option("scenario", key):
+            raise ScenarioParseError(
+                f"[scenario] {key} is read only by criterion = {owner}, not by criterion = {kind}"
+            )
+    return scenario

@@ -20,6 +20,7 @@ from rispattern import (
     PatternTrace,
     RisGeometry,
     Scenario,
+    SurfaceConfig,
     SweepSpec,
     Terminal,
     Wave,
@@ -127,9 +128,17 @@ def oracle_runs():
         rng = np.random.default_rng(seed)
         pair = _random_pair(rng, n)
         alph = _random_alphabet(rng, levels)
-        config, report = optimize_alternating(
-            pair, alph, random_restarts=8, restart_seed=seed
-        )
+        # the cold start plus 8 seeded random starts, keeping the best
+        config, report = optimize_alternating(pair, alph)
+        restart_rng = np.random.default_rng(seed)
+        for _ in range(8):
+            idx0 = restart_rng.integers(0, len(alph.values), size=pair.g.shape)
+            start = SurfaceConfig(
+                alph.values[idx0], DesignCriterion.from_alphabet(alph), alphabet_indices=idx0
+            )
+            run = optimize_alternating(pair, alph, start)
+            if run[1].objective_trace[-1] > report.objective_trace[-1]:
+                config, report = run
         runs.append(
             {
                 "achieved": received_power(pair, config),

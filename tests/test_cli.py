@@ -197,6 +197,34 @@ class TestRunCommand:
         assert "seed" in single_error_line(capsys)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "criterion, key",
+        [
+            ("uacp", "levels"),
+            ("diffuser", "levels"),
+            ("uadp\nlevels = 4", "seed"),
+            ("alphabet\nalphabet = omni3p6", "seed"),
+        ],
+    )
+    def test_key_of_another_criterion_exit_2(self, tmp_path, capsys, criterion, key):
+        text = SCENARIO_TEXT.replace("criterion = uacp", f"criterion = {criterion}\n{key} = 3")
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        rc = main(["run", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        line = single_error_line(capsys)
+        assert f"[scenario] {key}" in line and f"criterion = {criterion.split()[0]}" in line
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("levels", [65, 100_000])
+    def test_oversized_uadp_levels_exit_2(self, tmp_path, capsys, levels):
+        path = tmp_path / "s.ini"
+        path.write_text(SCENARIO_TEXT.replace("criterion = uacp", f"criterion = uadp\nlevels = {levels}"))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"2 <= L <= 64, got {levels}" in single_error_line(capsys)
+        assert main(["alphabet", f"uadp:{levels}"]) == 2
+        assert f"2 <= L <= 64, got {levels}" in single_error_line(capsys)
+
     def test_out_naming_a_file_exit_2(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "taken"
         out.write_text("")
@@ -254,6 +282,10 @@ class TestAlphabetCommand:
         rc = main(["alphabet", "bogus"])
         assert rc == 2
         assert "testbed2p3" in capsys.readouterr().err
+
+    def test_largest_uadp_set(self, capsys):
+        assert main(["alphabet", "uadp:64"]) == 0
+        assert "L=64" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name", ["uadp:x", "uadp:"])
     def test_bad_uadp_levels_exit_2(self, capsys, name):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,10 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 from rispattern import (
     DesignCriterion,
     Scenario,
+    builtin,
     builtin_names,
     parse_scenario,
     run_scenario,
 )
+import rispattern
 from rispattern.core import SPEED_OF_LIGHT
 from rispattern.scenario import (
     DEFAULT_ELEMENT_BUDGET,
@@ -128,11 +133,25 @@ class TestRunScenario:
         assert r.interference_traces[0].metadata["interferer_theta_inc_deg"] == -15.0
 
     def test_optimizer_report_only_for_alphabet_runs(self):
-        from rispattern import builtin
-
         assert run_scenario(small_scenario()).report is None
         s = small_scenario(criterion=DesignCriterion.from_alphabet(builtin("omni3p6")))
         assert run_scenario(s).report is not None
+
+    def test_alphabet_run_does_not_import_numpy_ma(self):
+        # numpy.ma, which np.median imports lazily, adds ~2 MB of peak RSS
+        code = (
+            "import sys\n"
+            "from rispattern import DesignCriterion, Scenario, builtin, run_scenario\n"
+            "a = builtin('varactor5g')\n"
+            "s = Scenario(a.nominal_frequency, DesignCriterion.from_alphabet(a), 30.0,\n"
+            "             aperture=0.2, field_regime='near', sweep_step=1.0)\n"
+            "assert run_scenario(s).report.element_update_count > 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(rispattern.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_sweep_warnings_reach_the_caller(self, monkeypatch):
         from rispattern import scenario as scenario_module
@@ -227,6 +246,13 @@ class TestParseScenario:
         s = parse_scenario(text)
         assert s.criterion.kind == "diffuser"
         assert s.criterion.seed == 9
+
+    @pytest.mark.parametrize("kind", ["uacp", "uadp", "uaep", "alphabet", "specular", "diffuser"])
+    def test_alphabet_key_accepted_with_every_criterion(self, kind):
+        # it supplies the nominal frequency whatever the criterion
+        extra = "\nlevels = 4" if kind == "uadp" else ""
+        s = parse_scenario(f"[scenario]\nalphabet = omni3p6\ncriterion = {kind}{extra}\n")
+        assert s.frequency == builtin("omni3p6").nominal_frequency
 
     def test_uadp_alphabet_runs(self):
         text = (
