@@ -24,30 +24,40 @@ sin and cos element by element: about 2 ns against 13-33 ns per element on
 an AVX-512 Xeon.
 
 A sweep does not need the rx factor at every column.  For a fixed element
-row n and receiver position, K_n(y) = sinc_x sinc_y amp exp(-jkr) is an
-analytic, slowly varying function of the column coordinate y: in the far
-field its phase changes by about k (D/2)^2 / (2R) ~ 0.1 rad across the
-aperture (Balanis, Antenna Theory, Fresnel-region array factor).  So it is
-interpolated on r Chebyshev nodes eta_j spanning the columns,
+row n and a receiver on an arc of radius R at y = 0, K_n(y) = sinc_x sinc_y
+amp exp(-jkr) carries the quadratic phase k y^2 / (2 rho_n) of the
+Fresnel-region expansion (Balanis, Antenna Theory), rho_n being the
+receiver's distance from the row's column line, and is otherwise an
+analytic, slowly varying function of the column coordinate y.  rho_n is
+close to R, so the chirp D(y) = exp(-jk y^2 / (2R)) is taken out first and
+only K_n / D is interpolated on r Chebyshev nodes eta_j spanning the columns:
 
-    F = sum_n sum_m w_nm K_n(y_m) ~ sum_n sum_j K_n(eta_j) b_nj,
-    b = w @ L,  L[m, j] = l_j(y_m)  (barycentric Lagrange basis, M x r),
+    F = sum_n sum_m (w_nm D(y_m)) (K_n(y_m) / D(y_m))
+      ~ sum_n sum_j K_n(eta_j) b_nj,
+    b = w @ C,  C[m, j] = D(y_m) l_j(y_m) conj(D(eta_j)),
 
-and K at the nodes comes from the same `_illuminate` and `_rx_terms`, run on
-an illumination whose columns are the nodes.  The real-column kernel is the
-same code with the columns as nodes and b = w.  The per-angle work falls from
-O(N*M) to O(N*r).  r is chosen per sweep and checked against the real
-columns at run time: the counts of `_NODE_COUNTS` with 2r <= M are tried in
-turn, the first whose power matches the real columns within `_NODE_TOL` of
-the largest checked power at the sweep's first, middle and last positions
-runs the sweep, and the real-column power at the trace peak is checked
-after it.  If no count passes, or the peak check fails, the sweep runs on
-the real columns.  A sweep of at most two chunks always does: it takes
-about as long as the checks would.  The node path, checks included, runs in
-chunks of half the element-angles of a real-column chunk, so it needs less
-memory than the real columns.
-Near-field arcs go through the same rule; they need more nodes (24 on the
-5 m benchmark arc against 8 or 12 far away).
+with l_j the barycentric Lagrange basis (M x r).  The first line is exact
+for any D; with this one the interpolant carries only
+k y^2 (1/(2 rho_n) - 1/(2R)), which is smaller than the chirp by about
+|x_n sin(theta)| / R.  C is complex but small, so b comes from four real
+products of the real pair of weights with its real and imaginary parts,
+and no complex copy of the weights is made.  K at the nodes comes from the
+same `_illuminate` and `_rx_terms`, run on an illumination whose columns are
+the nodes.  The real-column kernel is the same code with the columns as
+nodes and b = w.  The per-angle work falls from O(N*M) to O(N*r).  r is
+chosen per sweep and checked against the real columns at run time: the
+counts of `_NODE_COUNTS` with 2r <= M are tried in turn; a count runs the
+sweep once its power matches the real columns within `_NODE_TOL` of the
+largest checked power at the sweep's first, middle and last positions, and
+it is kept if it also matches at the trace peak and at the strongest
+position of each outer quarter, where the error left after demodulation
+grows (it scales with sin(theta)).  Otherwise those positions stay checked
+for the next count.  If no count passes, the sweep runs on the real
+columns.  A sweep of at most two chunks always does: it takes about as long
+as the checks would.  The node path, checks included, runs in chunks of
+half the element-angles of a real-column chunk, so it needs less memory
+than the real columns.  Far-field arcs take 4 or 6 nodes and the 5 m
+benchmark near arc 12 (8 or 12, and 24, with the chirp left in).
 
 Memory is bounded whatever the grid: a sweep is processed in chunks of
 angles (of element rows at one angle, when one angle over the whole grid is
@@ -92,13 +102,14 @@ _WORKERS = 2
 
 # Fewest chunks of a kernel call that run on threads; fewer run in order.
 # On the same box, real-column calls on 25^2-145^2 grids ran faster on two
-# threads from 8 chunks on, and calls on 8-24 node columns from 10-64.
+# threads from 8 chunks on, and calls on 4-6 node columns of 61^2-245^2 grids
+# from 12-16; the far-field benchmark's node sweeps have 14-51 chunks.
 _THREADED_CHUNKS = 8
 
 # Chebyshev node counts that a sweep tries, in order, for the rx factor's
 # column dependence; a count is tried only while it is at most half the
 # column count.
-_NODE_COUNTS = (8, 12, 16, 24, 32, 48, 64)
+_NODE_COUNTS = (4, 6, 8, 12, 16, 24, 32, 48, 64)
 
 # Largest |node power - real-column power| that a sweep accepts at a checked
 # position, as a share of the largest checked power.
@@ -309,6 +320,20 @@ def _chebyshev_basis(y: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, basis
 
 
+def _node_weights(w: np.ndarray, y: np.ndarray, r: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """r Chebyshev nodes spanning the columns y and the node weights
+    b = w @ C of the module docstring, for the chirp D(y) = exp(-j rate y^2),
+    as a (2, N, r) real pair; w is the (2, N, M) real pair of weights.
+
+    D and conj(D) at the nodes are folded into the (M, r) basis C, so b
+    comes from four real products and no complex copy of w is made.
+    """
+    nodes, basis = _chebyshev_basis(y, r)
+    chirp = np.exp(-1j * rate * y * y)[:, None] * basis * np.exp(1j * rate * nodes * nodes)
+    re, im = chirp.real, chirp.imag
+    return nodes, np.stack([w[0] @ re - w[1] @ im, w[0] @ im + w[1] @ re])
+
+
 def _check_error(approx: np.ndarray, exact: np.ndarray) -> float:
     """max |approx - exact| as a share of max(exact)."""
     diff = np.max(np.abs(approx - exact))
@@ -317,7 +342,10 @@ def _check_error(approx: np.ndarray, exact: np.ndarray) -> float:
 
 def _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, meta):
     """The powers of `_received_powers` on the first node count that passes
-    both checks, or None if none does."""
+    both checks, or None if none does.
+
+    The positions checked after a count's sweep stay checked for the counts
+    after it."""
     counts = [r for r in _NODE_COUNTS if 2 * r <= geom.n_cols]
     if not counts:
         return None
@@ -329,23 +357,27 @@ def _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, meta):
     chunk_elements = angles * grid_rows * geom.n_cols // 2
     checked = [0, len(rx_positions) // 2, len(rx_positions) - 1]
     exact = _powers(ill, w, rx_positions[checked], p_tx, chunk_elements)
+    # the chirp of the arc's radius, k y^2 / (2R), is the Fresnel phase that
+    # every element row's rx factor shares
+    rate = wave.wavenumber / (2.0 * np.linalg.norm(rx_positions[0]))
     for r in counts:
-        nodes, basis = _chebyshev_basis(ill.y, r)
+        nodes, node_w = _node_weights(w, ill.y, r, rate)
         node_ill = _illuminate(geom, wave, tx, nodes)
-        node_w = w @ basis
         node_checked = _powers(node_ill, node_w, rx_positions[checked], p_tx, chunk_elements)
         if not _check_error(node_checked, exact) <= _NODE_TOL:
             continue
         power = _powers(node_ill, node_w, rx_positions, p_tx, chunk_elements)
-        peak = int(np.argmax(power))
-        checked.append(peak)
-        peak_exact = _powers(ill, w, rx_positions[peak : peak + 1], p_tx, chunk_elements)
-        exact = np.append(exact, peak_exact)
+        # the error left after demodulation grows with the receiver's offset
+        # from the arc's middle: check the peak and the strongest position of
+        # each outer quarter
+        q = max(1, len(power) // 4)
+        after = [int(np.argmax(power)), int(np.argmax(power[:q])), len(power) - q + int(np.argmax(power[-q:]))]
+        checked += after
+        exact = np.append(exact, _powers(ill, w, rx_positions[after], p_tx, chunk_elements))
         err = _check_error(power[checked], exact)
-        if not err <= _NODE_TOL:
-            return None
-        meta.update(kernel_columns=r, kernel_check_err=err)
-        return power
+        if err <= _NODE_TOL:
+            meta.update(kernel_columns=r, kernel_check_err=err)
+            return power
     return None
 
 
@@ -361,10 +393,12 @@ def _received_powers(
     """Received power p_tx |sum g gamma h|^2 at each of the rx positions
     (A, 3).
 
-    A sweep of more than two chunks evaluates the rx factor at the first
-    count of _NODE_COUNTS Chebyshev nodes in y that matches the real
-    columns at its first, middle and last positions and then at its peak,
-    and otherwise at the real columns (see the module docstring).  If meta
+    A sweep of more than two chunks evaluates the rx factor, with the
+    chirp of the arc's radius taken out, at the first count of
+    _NODE_COUNTS Chebyshev nodes in y that matches the real columns at its
+    first, middle and last positions and then at its peak and the strongest
+    position of each outer quarter, and otherwise at the real columns (see
+    the module docstring).  If meta
     is given, it receives kernel_columns, the node count or n_cols for the
     real columns, and kernel_check_err, the worst checked error as a share
     of the largest checked power (0.0 for the real columns).

@@ -144,6 +144,10 @@ def cmd_run(args) -> int:
         "step_deg": meta["step_deg"],
         "kernel_columns": meta["kernel_columns"],
         "kernel_check_err": meta["kernel_check_err"],
+        "interference_kernels": {
+            name: {key: trace.metadata[key] for key in ("kernel_columns", "kernel_check_err")}
+            for name, trace in zip(names, result.interference_traces)
+        },
     }
     _atomic_write(
         os.path.join(args.out, "manifest.json"),

@@ -113,9 +113,15 @@ def design_quantized(
     if phases.size == 0:
         raise ValueError("candidate phase set is empty")
     target = _target_phase(pair)
-    # circular distance from each target to each candidate, shape (N, M, L)
-    dist = np.abs(canonical_phase(target[..., None] - phases[None, None, :]))
-    idx = np.argmin(dist, axis=-1)
+    # one candidate at a time, keeping the closest so far: O(N*M) memory
+    # whatever L; the strict < keeps ties at the lowest index
+    best = np.full(target.shape, np.inf)
+    idx = np.zeros(target.shape, dtype=np.intp)
+    for index, phase in enumerate(phases):
+        dist = np.abs(canonical_phase(target - phase))
+        closer = dist < best
+        best[closer] = dist[closer]
+        idx[closer] = index
     gamma = np.exp(1j * phases[idx])
     return SurfaceConfig(gamma, criterion, alphabet_indices=idx)
 

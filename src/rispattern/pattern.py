@@ -9,12 +9,13 @@ study.
 
 Every sweep point comes from the same per-element kernel that builds
 `ChannelPair` (see the channel module).  A sweep of more than two chunks
-evaluates each element row's rx factor on a few Chebyshev interpolation
-columns instead of on every column, and checks the result against the real
-columns at run time, at its first, middle, last and peak angles, to 1e-10
-of the largest checked power; if a check fails the sweep runs on the real
-columns, where each point equals `received_power` of the pointwise channel
-up to rounding.  The trace metadata
+takes the arc's Fresnel chirp out of each element row's rx factor,
+evaluates the rest on a few Chebyshev interpolation columns instead of on
+every column, and checks the result against the real columns at run time,
+at its first, middle, last and peak angles and the strongest angle of each
+outer quarter, to 1e-10 of the largest checked power; if no column count
+passes, the sweep runs on the real columns, where each point equals
+`received_power` of the pointwise channel up to rounding.  The trace metadata
 records `kernel_columns` (the node count, or the column count),
 `kernel_check_err` (the worst checked error as a share of the checked peak)
 and `step_deg`, the angular step actually used.  The kernel works through

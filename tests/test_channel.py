@@ -407,6 +407,20 @@ NODE_SCENARIOS = {
     "uacp-2.3GHz-l4-75": _far(DesignCriterion.uacp(), 75.0, 4, 2.3e9),
     "uacp-2.3GHz-l8-75": _far(DesignCriterion.uacp(), 75.0, 8, 2.3e9),
     "uacp-2.3GHz-l32-75": _far(DesignCriterion.uacp(), 75.0, 32, 2.3e9),
+    # a 1 m near arc: checked only at its first, middle, last and peak
+    # angles, its interference sweep passed on 12 columns and was 5.9e-10
+    # off at -70 deg
+    "omni3p6-uaep-1m-near": Scenario(
+        7.680120297e9,
+        DesignCriterion.uaep(builtin("omni3p6")),
+        34.8655,
+        pitch_divisor=2.826800085379557,
+        aperture=0.47640540452218194,
+        field_regime="near",
+        near_radius=1.0063,
+        interferer_angles=(34.373,),
+        sweep_step=1.0,
+    ),
     **{f"{name}-near-{target:g}": _near(name, target) for name, target in [
         ("varactor5g", 30.0), ("varactor5g", 45.0), ("varactor5g", 75.0), ("omni3p6", 45.0), ("omni3p6", 75.0)
     ]},
@@ -439,6 +453,61 @@ class TestNodeKernel:
             assert 0.0 < a.metadata["kernel_check_err"] <= channel._NODE_TOL
             assert b.metadata["kernel_columns"] == n_cols and b.metadata["kernel_check_err"] == 0.0
             assert np.max(np.abs(a.power - b.power)) <= 1e-10 * b.power.max()
+
+    @pytest.mark.parametrize(
+        "label, grid, most", [("varactor5g-near-45", 72, 12), ("uacp-5.45GHz-l8-45", 145, 6)]
+    )
+    def test_demodulated_columns_taken(self, label, grid, most):
+        # the 5 m near arc took 24 columns and the far grid 8 before the
+        # chirp was taken out
+        (trace,) = _node_traces(NODE_SCENARIOS[label])
+        assert trace.metadata["grid"] == (grid, grid)
+        assert trace.metadata["kernel_columns"] <= most
+
+    @pytest.mark.parametrize("chirp", [False, True], ids=["no-chirp", "arc-chirp"])
+    def test_as_many_nodes_as_columns_match_real_columns(self, chirp):
+        # Sum_m w_m K(y_m) = Sum_m (w_m D(y_m)) (K(y_m) / D(y_m)) holds for
+        # any D, so with r = M nodes only rounding is left
+        geom = RisGeometry(12, 20, 0.012, 0.012)
+        wave = Wave(10e9)
+        tx = Terminal((0.4, 0.0, 1.5))
+        rng = np.random.default_rng(5)
+        gamma = np.exp(1j * rng.uniform(-np.pi, np.pi, (12, 20)))
+        positions = rx_arc_position(3.0, np.linspace(-90.0, 90.0, 61))
+        ill = channel._illuminate(geom, wave, tx, geom.y_centers)
+        weight = gamma * (ill.re - 2j * ill.im_half)
+        w = np.stack([weight.real, weight.imag])
+        real = channel._powers(ill, w, positions, 1.0)
+        rate = wave.wavenumber / (2 * 3.0) if chirp else 0.0  # the 3 m arc's chirp
+        nodes, node_w = channel._node_weights(w, ill.y, geom.n_cols, rate)
+        node = channel._powers(channel._illuminate(geom, wave, tx, nodes), node_w, positions, 1.0)
+        assert np.max(np.abs(node - real)) <= 1e-12 * real.max()
+
+    def test_positions_off_the_arc_plane(self, monkeypatch):
+        # the chirp assumes receivers at y = 0; off that plane the checks
+        # either hold the node path to _NODE_TOL or send the sweep to the
+        # real columns
+        geom = RisGeometry(40, 40, 0.02, 0.02)
+        rng = np.random.default_rng(3)
+        gamma = np.exp(1j * rng.uniform(-np.pi, np.pi, (40, 40)))
+        tx = Terminal((0.3, 0.2, 3.0))
+        t = np.radians(np.linspace(-90.0, 90.0, 3 * channel._chunk_shape(40, 40)[0]))
+        paths = set()
+        for azimuth, y in [(0.0, 0.1), (0.0, 0.4), (10.0, 0.0), (30.0, 0.1)]:
+            a = np.radians(azimuth)
+            positions = np.stack([5 * np.sin(t) * np.cos(a), 5 * np.sin(t) * np.sin(a) + y, 5 * np.cos(t)], axis=-1)
+            meta = {}
+            power = channel._received_powers(geom, Wave(10e9), tx, gamma, positions, 1.0, meta)
+            with monkeypatch.context() as m:
+                m.setattr(channel, "_NODE_COUNTS", ())
+                real = channel._received_powers(geom, Wave(10e9), tx, gamma, positions, 1.0)
+            if meta["kernel_columns"] == 40:
+                paths.add("real")
+                assert np.array_equal(power, real)
+            else:
+                paths.add("node")
+                assert np.max(np.abs(power - real)) <= channel._NODE_TOL * real.max()
+        assert paths == {"real", "node"}
 
     def test_failed_check_falls_back_bit_for_bit(self, monkeypatch):
         s = NODE_SCENARIOS["uadp4-2.3GHz-l8-45"]

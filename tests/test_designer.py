@@ -16,6 +16,7 @@ from rispattern import (
     Terminal,
     Wave,
     builtin,
+    canonical_phase,
     design_diffuser,
     design_for_criterion,
     design_specular,
@@ -157,6 +158,24 @@ class TestQuantized:
         config = design_uadp(pair, 2)
         assert config.alphabet_indices[0, 0] == 0
         assert np.angle(config.gamma[0, 0]) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("kind", ["random", "tie-heavy"])
+    def test_matches_argmin_over_all_candidates(self, monkeypatch, kind):
+        # the (N, M, L) argmin that the per-candidate loop replaced
+        rng = np.random.default_rng(17)
+        pair = make_pair(30, 40)
+        for levels in (2, 3, 4, 8, 16, 64):
+            phases = uadp_set(levels).phases
+            if kind == "random":
+                target = rng.uniform(-np.pi, np.pi, (30, 40))
+            else:
+                # candidates and the midpoints between them, on the grid of
+                # multiples of pi / (2 L)
+                target = canonical_phase(rng.integers(-4 * levels, 4 * levels, (30, 40)) * (np.pi / (2 * levels)))
+            monkeypatch.setattr(designer, "_target_phase", lambda _pair, target=target: target)
+            config = designer.design_quantized(pair, phases, DesignCriterion.uadp(levels))
+            dist = np.abs(canonical_phase(target[..., None] - phases[None, None, :]))
+            assert np.array_equal(config.alphabet_indices, np.argmin(dist, axis=-1))
 
     def test_uaep_uses_alphabet_phases_with_unit_amplitude(self):
         pair = make_pair(3, 3)
