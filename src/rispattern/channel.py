@@ -44,20 +44,51 @@ products of the real pair of weights with its real and imaginary parts,
 and no complex copy of the weights is made.  K at the nodes comes from the
 same `_illuminate` and `_rx_terms`, run on an illumination whose columns are
 the nodes.  The real-column kernel is the same code with the columns as
-nodes and b = w.  The per-angle work falls from O(N*M) to O(N*r).  r is
-chosen per sweep and checked against the real columns at run time: the
-counts of `_NODE_COUNTS` with 2r <= M are tried in turn; a count runs the
-sweep once its power matches the real columns within `_NODE_TOL` of the
-largest checked power at the sweep's first, middle and last positions, and
-it is kept if it also matches at the trace peak and at the strongest
-position of each outer quarter, where the error left after demodulation
-grows (it scales with sin(theta)).  Otherwise those positions stay checked
-for the next count.  If no count passes, the sweep runs on the real
-columns.  A sweep of at most two chunks always does: it takes about as long
-as the checks would.  The node path, checks included, runs in chunks of
-half the element-angles of a real-column chunk, so it needs less memory
-than the real columns.  Far-field arcs take 4 or 6 nodes and the 5 m
-benchmark near arc 12 (8 or 12, and 24, with the chirp left in).
+nodes and b = w.  The per-angle work falls from O(N*M) to O(N*r_y), r_y
+being the column node count.
+
+The rows are interpolated the same way, once each position's own row phase
+is taken out.  For a receiver at p let rho_p(x) = |p - (x, 0, 0)|, its
+distance from the point at x on the row axis, and E_p(x) = exp(-jk
+rho_p(x)).  Then
+
+    F = sum_j sum_n (b_nj E_p(x_n)) (K / E_p)(x_n, eta_j)
+      ~ sum_ij K(xi_i, eta_j) conj(E_p(xi_i)) c_ij,
+    c = E_p @ B,  B[n, (i, j)] = L_i(x_n) b_nj,
+
+with L_i the Lagrange basis of r_x Chebyshev nodes xi_i spanning the rows
+(N x r_x).  The first line is exact for any phase; K / E_p keeps only
+k (r - rho_p), about k eta^2 / (2 rho_p) on the arc, which is smooth in x.
+c comes from real products of E_p's cosine and sine with the real pair of
+B, and K conj(E_p) at the nodes from `_rx_terms` with rho_p(xi_i) taken out
+of r before the phase.  A position then costs r_x * r_y kernel points
+instead of N * r_y, plus N phases and an N x (r_x r_y) product.  The exact
+rho_p is taken out, not its Taylor series: with only
+k (x sin(theta) - x^2 cos^2(theta) / (2R)) taken out, the interpolant kept
+the term k x^3 sin(theta) cos^2(theta) / (2R^2), largest at theta = 35
+degrees, away from every checked angle, and the 5 m benchmark arc's traces
+were up to 2.3e-10 of their peak off the real columns at 27-46 degrees
+while every checked angle passed.
+
+The counts are chosen per sweep and checked against the real columns at
+run time.  The column counts of `_NODE_COUNTS` with 2 r_y <= M are tried in
+turn; a count is a candidate once its power matches the real columns within
+`_NODE_TOL` of the largest checked power at the sweep's first, middle and
+last positions.  Where its sweep would take more than two chunks, the row
+counts of `_NODE_COUNTS` from r_y on, with 2 r_x <= N, are then tried the
+same way; the first that passes that check runs the sweep, and it is kept
+if it also matches at the trace peak and at the strongest position of each
+outer quarter, where the error left after demodulation grows (it scales
+with sin(theta)).  Otherwise those positions stay checked for every later
+candidate.  If no row count is kept, the column count runs the sweep and is
+kept on the same second check; if no column count is kept, the sweep runs
+on the real columns.  A sweep of at most two chunks always does: it takes
+about as long as the checks would.  The node path, checks included, runs in
+chunks of half the live bytes of a real-column chunk, so it needs less
+memory than the real columns.  The far-field benchmark takes 4 x 4 nodes
+on its 245^2 and 145^2 grids and 6 x 6 on its 61^2 grid, and its 5 m near
+arc 12 x 12 on 48^2 and 72^2 (the column counts were 8 or 12, and 24, with
+the chirp left in).
 
 Memory is bounded whatever the grid: a sweep is processed in chunks of
 angles (of element rows at one angle, when one angle over the whole grid is
@@ -67,15 +98,18 @@ for the weights and tx-side terms.  The budget is small enough that a chunk
 stays in a core's cache, which is faster than fewer, larger chunks.  A
 kernel call of at least `_THREADED_CHUNKS` chunks runs them on `_WORKERS`
 threads of its own (numpy releases the GIL inside its ufuncs and BLAS
-calls), a smaller one, such as a check of the node path, in order.  Each
-chunk writes only its own slice of the output, its partial sums over
-element rows are added in a fixed order, and the chunking depends only on
-the grid shape, so reruns are bit for bit identical.
+calls), a smaller one, such as a check of the node path, in order.  The
+row path always runs its chunks in order: on the benchmark grids two
+threads did not make it faster.  Each chunk writes only its own slice of
+the output, its partial sums over element rows are added in a fixed order,
+and the chunking depends only on the grid shape, so reruns are bit for bit
+identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -105,6 +139,12 @@ _WORKERS = 2
 # threads from 8 chunks on, and calls on 4-6 node columns of 61^2-245^2 grids
 # from 12-16; the far-field benchmark's node sweeps have 14-51 chunks.
 _THREADED_CHUNKS = 8
+
+# Most multiply-adds of one BLAS product of the row path.  OpenBLAS runs a
+# product of more than 2^18 on threads of its own; on a 2-vCPU x86-64 box
+# those threads now and then stalled the far-field benchmark's node sweeps
+# by ~0.4 s, which split products never did, at the same median time.
+_SERIAL_PRODUCT = 2**18
 
 # Chebyshev node counts that a sweep tries, in order, for the rx factor's
 # column dependence; a count is tried only while it is at most half the
@@ -137,7 +177,7 @@ def _sinc_half(h: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _terminal_terms(x, y, pos: np.ndarray, half_k: float):
+def _terminal_terms(x, y, pos: np.ndarray, half_k: float, rho: np.ndarray | None = None):
     """Per-element terms of A terminal positions pos (A, 3) over the grid of
     element rows at x (N) and columns at y (M).
 
@@ -145,7 +185,8 @@ def _terminal_terms(x, y, pos: np.ndarray, half_k: float):
     amplitude with obliquity, inv_r = 1/r, both (A, N, M); ox (A, N) and
     oy (A, M) are the terminal's offsets from the element rows and columns;
     and t = tan(k r / 2), shape (A, N, M), carries the phase (see
-    `_apply_phase`).
+    `_apply_phase`), or t = tan(k (r - rho) / 2) if distances rho (A, N) of
+    the rows are given.
     """
     ox = pos[:, 0, None] - x
     oy = pos[:, 1, None] - y
@@ -156,6 +197,8 @@ def _terminal_terms(x, y, pos: np.ndarray, half_k: float):
     inv_r = np.divide(1.0, r)
     amp = np.multiply(inv_r, z)
     amp *= inv_r
+    if rho is not None:
+        r -= rho[:, :, None]
     r *= half_k
     np.tan(r, out=r)
     return amp, inv_r, ox, oy, r
@@ -201,9 +244,9 @@ class _Illumination:
         )
 
 
-def _illuminate(geom: RisGeometry, wave: Wave, tx: Terminal, y: np.ndarray) -> _Illumination:
-    """Tx-side terms over the element rows of geom and the columns at y."""
-    x = geom.x_centers
+def _illuminate(geom: RisGeometry, wave: Wave, tx: Terminal, x: np.ndarray, y: np.ndarray) -> _Illumination:
+    """Tx-side terms over the rows at x and the columns at y, with the
+    element pitches of geom."""
     k = wave.wavenumber
     hx = k * geom.pitch_x / 4.0
     hy = k * geom.pitch_y / 4.0
@@ -214,13 +257,14 @@ def _illuminate(geom: RisGeometry, wave: Wave, tx: Terminal, y: np.ndarray) -> _
     return _Illumination(x, y, k / 2.0, hx, hy, hx_tx, hy_tx, amp[0], t[0])
 
 
-def _rx_terms(ill: _Illumination, pos: np.ndarray):
+def _rx_terms(ill: _Illumination, pos: np.ndarray, rho: np.ndarray | None = None):
     """Receiver-side terms for A positions pos (A, 3) as real (A, N, M) arrays.
 
     Returns (sinc_x, re, im_half): sinc_x is the x-direction element factor
-    and re - 2j * im_half = (z/r) exp(-jkr) / r * sinc_y.
+    and re - 2j * im_half = (z/r) exp(-jkr) / r * sinc_y, or that times
+    exp(jk rho) if distances rho (A, N) of the rows are given.
     """
-    amp, inv_r, ox, oy, t = _terminal_terms(ill.x, ill.y, pos, ill.half_k)
+    amp, inv_r, ox, oy, t = _terminal_terms(ill.x, ill.y, pos, ill.half_k, rho)
     mask = np.empty(amp.shape, dtype=bool)
     h = np.multiply(inv_r, (ill.hy * oy)[:, None, :])
     h += ill.hy_tx
@@ -233,18 +277,23 @@ def _rx_terms(ill: _Illumination, pos: np.ndarray):
     return s, amp, t
 
 
-def _chunk_shape(n_rows: int, n_cols: int) -> tuple[int, int]:
+def _chunk_shape(n_rows: int, n_cols: int, chunk_elements: int | None = None) -> tuple[int, int]:
     """(angles, grid rows) of one chunk of a sweep over an n_rows x n_cols grid.
 
     Each of the _WORKERS chunks that can be in flight gets an equal share of
     _CHUNK_BUDGET.  A chunk takes whole angles over the full grid while one
     angle fits its share, and otherwise one angle over as many grid rows as
     fit; only a single grid row wider than the share overruns it.
+    chunk_elements, if given, caps the element-angles of a chunk.
     """
     share = _CHUNK_BUDGET // _WORKERS
     row_bytes = _BYTES_PER_ELEMENT_ANGLE * n_cols
     grid_rows = max(1, min(n_rows, share // row_bytes))
-    return max(1, share // (row_bytes * grid_rows)), grid_rows
+    angles = max(1, share // (row_bytes * grid_rows))
+    if chunk_elements is not None:
+        grid_rows = max(1, min(grid_rows, chunk_elements // n_cols))
+        angles = max(1, min(angles, chunk_elements // (grid_rows * n_cols)))
+    return angles, grid_rows
 
 
 def _block_sums(block: _Illumination, w_block: np.ndarray, pos: np.ndarray):
@@ -273,10 +322,7 @@ def _powers(
     n_rows, n_cols = w.shape[1:]
     n_pos = len(rx_positions)
     out = np.empty(n_pos)
-    angles, grid_rows = _chunk_shape(n_rows, n_cols)
-    if chunk_elements is not None:
-        grid_rows = max(1, min(grid_rows, chunk_elements // n_cols))
-        angles = max(1, min(angles, chunk_elements // (grid_rows * n_cols)))
+    angles, grid_rows = _chunk_shape(n_rows, n_cols, chunk_elements)
     blocks = [
         (ill.rows(sl), w[:, sl].reshape(2, -1))
         for sl in (slice(n, n + grid_rows) for n in range(0, n_rows, grid_rows))
@@ -305,9 +351,71 @@ def _powers(
     return out
 
 
+def _row_distances(pos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Distances rho (A, len(x)) from the A positions pos (A, 3) to the
+    points (x, 0, 0) of the row axis."""
+    rho = np.subtract(pos[:, 0, None], x)
+    rho *= rho
+    rho += (pos[:, 1] ** 2 + pos[:, 2] ** 2)[:, None]
+    return np.sqrt(rho, out=rho)
+
+
+def _row_powers(ill: _Illumination, b: np.ndarray, x: np.ndarray, rx_positions: np.ndarray, p_tx: float) -> np.ndarray:
+    """p_tx |F|^2 of the module docstring's row path at each of the rx
+    positions (A, 3): ill holds the tx-side terms at the r_x node rows and
+    r_y node columns, and b is the `_row_weights` pair at the N element rows
+    x: E_p @ b comes from four real products.
+
+    A chunk's live temporaries take at most 4 float64 values per element
+    row (the row phases) and 8 per node point (the kernel and the products
+    with b) for each of its angles, and fit half a worker's share of
+    _CHUNK_BUDGET, like the chunks of the column nodes.  The chunks run in
+    order, and each product with b is split into blocks of angles of at
+    most _SERIAL_PRODUCT multiply-adds.
+    """
+    out = np.empty(len(rx_positions))
+    points = len(ill.x) * len(ill.y)
+    angles = max(1, _CHUNK_BUDGET // (2 * _WORKERS) // (8 * (4 * len(x) + 8 * points)))
+    block = max(1, _SERIAL_PRODUCT // (len(x) * points))
+
+    # a function, so that a chunk's arrays are freed before the next chunk's
+    def run(start: int) -> None:
+        pos = rx_positions[start : start + angles]
+        # E_p = c - 1j s at the element rows: cos and sin of k rho, from
+        # tan(k rho / 2)
+        s = _row_distances(pos, x)
+        s *= ill.half_k
+        np.tan(s, out=s)
+        c = np.ones_like(s)
+        _apply_phase(c, s, np.empty_like(s), np.empty_like(s))
+        s *= 2.0
+        # e = sum_n E_p(x_n) B[n] = (c B_re + s B_im) + 1j (c B_im - s B_re)
+        e_re = np.empty((len(pos), points))
+        e_im = np.empty((len(pos), points))
+        for i in range(0, len(pos), block):
+            sl = slice(i, i + block)
+            np.matmul(c[sl], b[0], out=e_re[sl])
+            e_re[sl] += s[sl] @ b[1]
+            np.matmul(c[sl], b[1], out=e_im[sl])
+            e_im[sl] -= s[sl] @ b[0]
+        del c, s
+        sinc_x, re, im_half = _rx_terms(ill, pos, _row_distances(pos, ill.x))  # K / E_p
+        re *= sinc_x
+        im_half *= sinc_x
+        re = re.reshape(len(pos), points)
+        im_half = im_half.reshape(len(pos), points)
+        f_re = np.einsum("ap,ap->a", re, e_re) + 2.0 * np.einsum("ap,ap->a", im_half, e_im)
+        f_im = np.einsum("ap,ap->a", re, e_im) - 2.0 * np.einsum("ap,ap->a", im_half, e_re)
+        out[start : start + len(pos)] = p_tx * (f_re * f_re + f_im * f_im)
+
+    for start in range(0, len(rx_positions), angles):
+        run(start)
+    return out
+
+
 def _chebyshev_basis(y: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """r Chebyshev nodes (first kind) spanning the columns y, and the (M, r)
-    matrix of their Lagrange basis polynomials at y, in barycentric form."""
+    """r Chebyshev nodes (first kind) spanning the points y, and the (len(y),
+    r) matrix of their Lagrange basis polynomials at y, in barycentric form."""
     theta = (2.0 * np.arange(r) + 1.0) * (np.pi / (2.0 * r))
     nodes = 0.5 * (y[0] + y[-1]) + 0.5 * (y[-1] - y[0]) * np.cos(theta)
     diff = y[:, None] - nodes
@@ -334,6 +442,13 @@ def _node_weights(w: np.ndarray, y: np.ndarray, r: int, rate: float) -> tuple[np
     return nodes, np.stack([w[0] @ re - w[1] @ im, w[0] @ im + w[1] @ re])
 
 
+def _row_weights(b: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The row weights B[n, (i, j)] = L_i(x_n) b[n, j] of the module
+    docstring, as a (2, N, r_x r_y) real pair, from the (2, N, r_y) real
+    pair of node weights b and the (N, r_x) row basis L."""
+    return (basis[:, :, None] * b[:, :, None, :]).reshape(2, len(basis), -1)
+
+
 def _check_error(approx: np.ndarray, exact: np.ndarray) -> float:
     """max |approx - exact| as a share of max(exact)."""
     diff = np.max(np.abs(approx - exact))
@@ -341,11 +456,11 @@ def _check_error(approx: np.ndarray, exact: np.ndarray) -> float:
 
 
 def _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, meta):
-    """The powers of `_received_powers` on the first node count that passes
-    both checks, or None if none does.
+    """The powers of `_received_powers` on the first node count, with the
+    first row count if any, that passes both checks, or None if none does.
 
-    The positions checked after a count's sweep stay checked for the counts
-    after it."""
+    The positions checked after a sweep stay checked for the sweeps after
+    it."""
     counts = [r for r in _NODE_COUNTS if 2 * r <= geom.n_cols]
     if not counts:
         return None
@@ -357,24 +472,47 @@ def _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, meta):
     chunk_elements = angles * grid_rows * geom.n_cols // 2
     checked = [0, len(rx_positions) // 2, len(rx_positions) - 1]
     exact = _powers(ill, w, rx_positions[checked], p_tx, chunk_elements)
+
+    def passes(kernel) -> bool:
+        return _check_error(kernel(rx_positions[checked]), exact) <= _NODE_TOL
+
+    def checked_sweep(kernel):
+        """kernel's powers at every position and their error at the checked
+        positions, once the peak and the strongest position of each outer
+        quarter are checked too: the error left after demodulation grows
+        with the receiver's offset from the arc's middle."""
+        nonlocal checked, exact
+        power = kernel(rx_positions)
+        q = max(1, len(power) // 4)
+        after = [int(np.argmax(power)), int(np.argmax(power[:q])), len(power) - q + int(np.argmax(power[-q:]))]
+        checked = checked + after
+        exact = np.append(exact, _powers(ill, w, rx_positions[after], p_tx, chunk_elements))
+        return power, _check_error(power[checked], exact)
+
     # the chirp of the arc's radius, k y^2 / (2R), is the Fresnel phase that
     # every element row's rx factor shares
     rate = wave.wavenumber / (2.0 * np.linalg.norm(rx_positions[0]))
     for r in counts:
         nodes, node_w = _node_weights(w, ill.y, r, rate)
-        node_ill = _illuminate(geom, wave, tx, nodes)
-        node_checked = _powers(node_ill, node_w, rx_positions[checked], p_tx, chunk_elements)
-        if not _check_error(node_checked, exact) <= _NODE_TOL:
+        node_ill = _illuminate(geom, wave, tx, ill.x, nodes)
+        columns = partial(_powers, node_ill, node_w, p_tx=p_tx, chunk_elements=chunk_elements)
+        if not passes(columns):
             continue
-        power = _powers(node_ill, node_w, rx_positions, p_tx, chunk_elements)
-        # the error left after demodulation grows with the receiver's offset
-        # from the arc's middle: check the peak and the strongest position of
-        # each outer quarter
-        q = max(1, len(power) // 4)
-        after = [int(np.argmax(power)), int(np.argmax(power[:q])), len(power) - q + int(np.argmax(power[-q:]))]
-        checked += after
-        exact = np.append(exact, _powers(ill, w, rx_positions[after], p_tx, chunk_elements))
-        err = _check_error(power[checked], exact)
+        row_counts = [q for q in _NODE_COUNTS if r <= q and 2 * q <= geom.n_rows]
+        # rows only where the column nodes take more than two chunks, the
+        # rule that gates the column nodes themselves
+        if len(rx_positions) <= 2 * _chunk_shape(geom.n_rows, r, chunk_elements)[0]:
+            row_counts = []
+        for q in row_counts:
+            row_nodes, basis = _chebyshev_basis(ill.x, q)
+            row_ill = _illuminate(geom, wave, tx, row_nodes, nodes)
+            rows = partial(_row_powers, row_ill, _row_weights(node_w, basis), ill.x, p_tx=p_tx)
+            if passes(rows):
+                power, err = checked_sweep(rows)
+                if err <= _NODE_TOL:
+                    meta.update(kernel_columns=r, kernel_rows=q, kernel_check_err=err)
+                    return power
+        power, err = checked_sweep(columns)
         if err <= _NODE_TOL:
             meta.update(kernel_columns=r, kernel_check_err=err)
             return power
@@ -397,15 +535,18 @@ def _received_powers(
     chirp of the arc's radius taken out, at the first count of
     _NODE_COUNTS Chebyshev nodes in y that matches the real columns at its
     first, middle and last positions and then at its peak and the strongest
-    position of each outer quarter, and otherwise at the real columns (see
-    the module docstring).  If meta
-    is given, it receives kernel_columns, the node count or n_cols for the
-    real columns, and kernel_check_err, the worst checked error as a share
-    of the largest checked power (0.0 for the real columns).
+    position of each outer quarter; where those columns take more than two
+    chunks, it first tries the rows too, with each position's row distance
+    taken out, at node counts from the column count on.  Otherwise it runs
+    on the real columns (see the module docstring).  If meta is given, it
+    receives kernel_columns, the node count or n_cols for the real columns,
+    kernel_rows, the row node count or n_rows, and kernel_check_err, the
+    worst checked error as a share of the largest checked power (0.0 for
+    the real columns).
     """
     meta = {} if meta is None else meta
-    meta.update(kernel_columns=geom.n_cols, kernel_check_err=0.0)
-    ill = _illuminate(geom, wave, tx, geom.y_centers)
+    meta.update(kernel_columns=geom.n_cols, kernel_rows=geom.n_rows, kernel_check_err=0.0)
+    ill = _illuminate(geom, wave, tx, geom.x_centers, geom.y_centers)
     weight = gamma * (ill.re - 2j * ill.im_half) * (geom.pitch_x * geom.pitch_y / FOUR_PI**2)
     w = np.stack([weight.real, weight.imag])
     del weight  # only the real pair stays alive while the sweep runs
@@ -426,7 +567,7 @@ class ChannelPair:
 
     @classmethod
     def compute(cls, geom: RisGeometry, wave: Wave, tx: Terminal, rx: Terminal):
-        ill = _illuminate(geom, wave, tx, geom.y_centers)
+        ill = _illuminate(geom, wave, tx, geom.x_centers, geom.y_centers)
         sinc_x, re, im_half = _rx_terms(ill, np.array([rx.position]))
         return cls(
             g=(ill.re - 2j * ill.im_half) * sinc_x[0] * (geom.pitch_x / FOUR_PI),

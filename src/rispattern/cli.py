@@ -37,6 +37,10 @@ from .scenario import (
 )
 
 
+# The sweep kernel's record of each trace, copied into manifest.json.
+_KERNEL_KEYS = ("kernel_columns", "kernel_rows", "kernel_check_err")
+
+
 class ScenarioFailure(Exception):
     """A scenario that passed the boundary checks and failed to design or run."""
 
@@ -77,16 +81,17 @@ def canonical_digest(text: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# Values print with 9 significant digits.  Python floats from `tolist()` and
+# one %-template per row print the same bytes as an f"{v:.9g}" per value, at
+# a fraction of the cost of formatting numpy scalars one at a time.
 def trace_csv(trace) -> str:
-    lines = ["theta_deg,power_w,power_db_norm"]
-    db = trace.power_db_normalized
-    for theta, p, d in zip(trace.angles, trace.power, db):
-        lines.append(f"{theta:.9g},{p:.9g},{d:.9g}")
-    return "\n".join(lines) + "\n"
+    rows = zip(trace.angles.tolist(), trace.power.tolist(), trace.power_db_normalized.tolist())
+    return "theta_deg,power_w,power_db_norm\n" + "".join("%.9g,%.9g,%.9g\n" % row for row in rows)
 
 
 def matrix_csv(matrix: np.ndarray) -> str:
-    return "\n".join(",".join(f"{v:.9g}" for v in row) for row in matrix) + "\n"
+    template = ",".join(["%.9g"] * matrix.shape[1]) + "\n"
+    return "".join(template % tuple(row) for row in matrix.tolist())
 
 
 def _write_colormap(gamma: np.ndarray, phase_path: str, amp_path: str) -> list[str]:
@@ -142,10 +147,9 @@ def cmd_run(args) -> int:
         "criterion": meta["criterion"],
         "peak_angle_deg": result.metrics.peak_angle,
         "step_deg": meta["step_deg"],
-        "kernel_columns": meta["kernel_columns"],
-        "kernel_check_err": meta["kernel_check_err"],
+        **{key: meta[key] for key in _KERNEL_KEYS},
         "interference_kernels": {
-            name: {key: trace.metadata[key] for key in ("kernel_columns", "kernel_check_err")}
+            name: {key: trace.metadata[key] for key in _KERNEL_KEYS}
             for name, trace in zip(names, result.interference_traces)
         },
     }

@@ -80,6 +80,11 @@ class OptimizerReport:
         return sum(self.updates_per_sweep)
 
 
+# Coordinate ascent stops once a full sweep moves the objective by at most
+# _REL_TOL times its initial value, or after _MAX_SWEEPS sweeps.
+_REL_TOL = 1e-6
+_MAX_SWEEPS = 100
+
 # The certified-skip scan (module docstring): elements per round, the drift
 # budget in typical single-update moves, and the rounding allowance factor.
 _WINDOW = 512
@@ -153,8 +158,6 @@ def optimize_alternating(
     pair: ChannelPair,
     alphabet: Alphabet,
     init: SurfaceConfig | None = None,
-    epsilon: float | None = None,
-    max_sweeps: int = 100,
 ) -> tuple[SurfaceConfig, OptimizerReport]:
     """Alternating (coordinate) ascent of |sum g gamma h|^2 over the alphabet.
 
@@ -163,10 +166,10 @@ def optimize_alternating(
     where alpha is the field sum excluding the element being updated; ties
     break to the lowest alphabet index, and an element only changes state on
     a strict improvement.  The outer loop stops once a full sweep moves the
-    objective by at most epsilon (default 1e-6 relative to the initial
-    value), or after max_sweeps sweeps (converged=False, best-so-far
-    returned).  Coordinate ascent is a local method: the output is
-    coordinate-wise optimal, not necessarily the global optimum.
+    objective by at most _REL_TOL (1e-6) times its initial value, or after
+    _MAX_SWEEPS (100) sweeps (converged=False, best-so-far returned).
+    Coordinate ascent is a local method: the output is coordinate-wise
+    optimal, not necessarily the global optimum.
     """
     values = alphabet.values
     value_abs2 = np.abs(values) ** 2
@@ -188,10 +191,7 @@ def optimize_alternating(
     terms = gh * gamma
     total = np.sum(terms)
     f0 = abs(total) ** 2
-    if epsilon is None:
-        epsilon = 1e-6 * f0
-    if epsilon < 0:
-        raise ValueError(f"tolerance must be >= 0, got {epsilon}")
+    epsilon = _REL_TOL * f0
 
     # The skip test's constants.  spread[m] = max_l |v_l - v_m| bounds how
     # fast the score differences of an element holding entry m move with the
@@ -211,7 +211,7 @@ def optimize_alternating(
     trace = [f0]
     updates_per_sweep = []
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         updates = 0
         now = complex(total)
         start = 0

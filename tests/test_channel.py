@@ -320,7 +320,9 @@ class TestChunking:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert trace.metadata["kernel_columns"] < geom.n_cols  # the budget holds on the node path
+        # the budget holds on the node path, rows included
+        assert trace.metadata["kernel_columns"] < geom.n_cols
+        assert trace.metadata["kernel_rows"] < geom.n_rows
         per_grid = 40 * geom.n_elements * 8
         assert len(spec.angles) * geom.n_elements * channel._BYTES_PER_ELEMENT_ANGLE > 10 * budget
         assert peak <= budget + per_grid
@@ -357,9 +359,17 @@ class TestChunking:
         assert self.sweep_40(angles).metadata["kernel_columns"] == 40
         assert pools == []
 
+    def test_row_path_runs_in_order(self, pools):
+        count = 3 * channel._THREADED_CHUNKS * channel._chunk_shape(40, 40)[0]
+        assert self.sweep_40(count).metadata["kernel_rows"] < 40
+        assert pools == []
+
     @pytest.mark.parametrize("node_counts", [channel._NODE_COUNTS, ()], ids=["node-columns", "real-columns"])
     def test_threaded_call_matches_in_order(self, monkeypatch, pools, node_counts):
         monkeypatch.setattr(channel, "_NODE_COUNTS", node_counts)
+        # the row path runs its chunks in order: with every row count
+        # failing its check, the column nodes sweep, on threads
+        monkeypatch.setattr(channel, "_row_powers", lambda ill, b, x, pos, p_tx: np.full(len(pos), np.nan))
         # the node path's chunks hold up to 40 / (2 * 8) times the angles
         count = 3 * channel._THREADED_CHUNKS * channel._chunk_shape(40, 40)[0]
         threaded = self.sweep_40(count)
@@ -368,6 +378,7 @@ class TestChunking:
         in_order = self.sweep_40(count)
         assert len(pools) == 1
         assert (threaded.metadata["kernel_columns"] < 40) == bool(node_counts)
+        assert threaded.metadata["kernel_rows"] == 40
         assert threaded.metadata == in_order.metadata
         assert np.array_equal(threaded.power, in_order.power)
 
@@ -448,10 +459,13 @@ class TestNodeKernel:
         monkeypatch.setattr(channel, "_NODE_COUNTS", ())
         real = _node_traces(s)
         for a, b in zip(node, real):
-            n_cols = a.metadata["grid"][1]
+            n_rows, n_cols = a.metadata["grid"]
             assert a.metadata["kernel_columns"] < n_cols
+            assert a.metadata["kernel_columns"] <= a.metadata["kernel_rows"] <= n_rows
             assert 0.0 < a.metadata["kernel_check_err"] <= channel._NODE_TOL
-            assert b.metadata["kernel_columns"] == n_cols and b.metadata["kernel_check_err"] == 0.0
+            assert b.metadata["kernel_columns"] == n_cols and b.metadata["kernel_rows"] == n_rows
+            assert b.metadata["kernel_check_err"] == 0.0
+            # every angle, not only the checked ones
             assert np.max(np.abs(a.power - b.power)) <= 1e-10 * b.power.max()
 
     @pytest.mark.parametrize(
@@ -459,10 +473,13 @@ class TestNodeKernel:
     )
     def test_demodulated_columns_taken(self, label, grid, most):
         # the 5 m near arc took 24 columns and the far grid 8 before the
-        # chirp was taken out
+        # chirp was taken out; with each position's row distance taken out,
+        # the rows take as few nodes (test_matches_real_columns checks every
+        # angle of these sweeps)
         (trace,) = _node_traces(NODE_SCENARIOS[label])
         assert trace.metadata["grid"] == (grid, grid)
         assert trace.metadata["kernel_columns"] <= most
+        assert trace.metadata["kernel_rows"] <= most
 
     @pytest.mark.parametrize("chirp", [False, True], ids=["no-chirp", "arc-chirp"])
     def test_as_many_nodes_as_columns_match_real_columns(self, chirp):
@@ -474,26 +491,50 @@ class TestNodeKernel:
         rng = np.random.default_rng(5)
         gamma = np.exp(1j * rng.uniform(-np.pi, np.pi, (12, 20)))
         positions = rx_arc_position(3.0, np.linspace(-90.0, 90.0, 61))
-        ill = channel._illuminate(geom, wave, tx, geom.y_centers)
+        ill = channel._illuminate(geom, wave, tx, geom.x_centers, geom.y_centers)
         weight = gamma * (ill.re - 2j * ill.im_half)
         w = np.stack([weight.real, weight.imag])
         real = channel._powers(ill, w, positions, 1.0)
         rate = wave.wavenumber / (2 * 3.0) if chirp else 0.0  # the 3 m arc's chirp
         nodes, node_w = channel._node_weights(w, ill.y, geom.n_cols, rate)
-        node = channel._powers(channel._illuminate(geom, wave, tx, nodes), node_w, positions, 1.0)
+        node = channel._powers(channel._illuminate(geom, wave, tx, ill.x, nodes), node_w, positions, 1.0)
         assert np.max(np.abs(node - real)) <= 1e-12 * real.max()
 
+    @pytest.mark.parametrize("basis", ["identity", "chebyshev"])
+    def test_as_many_node_rows_as_rows_match_column_nodes(self, basis):
+        # Sum_n b_n K(x_n) = Sum_n (b_n E_p(x_n)) (K(x_n) / E_p(x_n)) holds
+        # for any phase E_p; with the element rows as nodes (L = I) only
+        # rounding is left, and with as many Chebyshev nodes as rows nearly so
+        geom = RisGeometry(12, 20, 0.012, 0.012)
+        wave = Wave(10e9)
+        tx = Terminal((0.4, 0.0, 1.5))
+        rng = np.random.default_rng(5)
+        gamma = np.exp(1j * rng.uniform(-np.pi, np.pi, (12, 20)))
+        positions = rx_arc_position(3.0, np.linspace(-90.0, 90.0, 61))
+        ill = channel._illuminate(geom, wave, tx, geom.x_centers, geom.y_centers)
+        weight = gamma * (ill.re - 2j * ill.im_half)
+        nodes, node_w = channel._node_weights(np.stack([weight.real, weight.imag]), ill.y, 8, wave.wavenumber / 6.0)
+        columns = channel._powers(channel._illuminate(geom, wave, tx, ill.x, nodes), node_w, positions, 1.0)
+        if basis == "identity":
+            row_nodes, row_basis = ill.x, np.eye(12)
+        else:
+            row_nodes, row_basis = channel._chebyshev_basis(ill.x, 12)
+        row_ill = channel._illuminate(geom, wave, tx, row_nodes, nodes)
+        rows = channel._row_powers(row_ill, channel._row_weights(node_w, row_basis), ill.x, positions, 1.0)
+        assert np.max(np.abs(rows - columns)) <= 1e-12 * columns.max()
+
     def test_positions_off_the_arc_plane(self, monkeypatch):
-        # the chirp assumes receivers at y = 0; off that plane the checks
-        # either hold the node path to _NODE_TOL or send the sweep to the
-        # real columns
+        # the chirp assumes receivers at y = 0, and the row phase is their
+        # distance from the row axis; off that plane the checks either hold
+        # the node path, on node rows or not, to _NODE_TOL or send the sweep
+        # to the real columns
         geom = RisGeometry(40, 40, 0.02, 0.02)
         rng = np.random.default_rng(3)
         gamma = np.exp(1j * rng.uniform(-np.pi, np.pi, (40, 40)))
         tx = Terminal((0.3, 0.2, 3.0))
         t = np.radians(np.linspace(-90.0, 90.0, 3 * channel._chunk_shape(40, 40)[0]))
         paths = set()
-        for azimuth, y in [(0.0, 0.1), (0.0, 0.4), (10.0, 0.0), (30.0, 0.1)]:
+        for azimuth, y in [(0.0, 0.02), (0.0, 0.1), (2.0, 0.0), (0.0, 0.4), (10.0, 0.0), (30.0, 0.1)]:
             a = np.radians(azimuth)
             positions = np.stack([5 * np.sin(t) * np.cos(a), 5 * np.sin(t) * np.sin(a) + y, 5 * np.cos(t)], axis=-1)
             meta = {}
@@ -505,9 +546,9 @@ class TestNodeKernel:
                 paths.add("real")
                 assert np.array_equal(power, real)
             else:
-                paths.add("node")
+                paths.add("rows" if meta["kernel_rows"] < 40 else "columns")
                 assert np.max(np.abs(power - real)) <= channel._NODE_TOL * real.max()
-        assert paths == {"real", "node"}
+        assert paths == {"real", "columns", "rows"}
 
     def test_failed_check_falls_back_bit_for_bit(self, monkeypatch):
         s = NODE_SCENARIOS["uadp4-2.3GHz-l8-45"]
@@ -519,11 +560,27 @@ class TestNodeKernel:
         assert fallback.metadata["kernel_check_err"] == 0.0
         assert np.array_equal(fallback.power, real.power)
 
+    def test_failed_row_ladder_runs_the_column_nodes(self, monkeypatch):
+        s = NODE_SCENARIOS["uadp4-2.3GHz-l8-45"]
+        (rows,) = _node_traces(s)
+        assert rows.metadata["kernel_rows"] < rows.metadata["grid"][0]
+        # no row count passes a check: the column nodes' sweep is returned
+        monkeypatch.setattr(channel, "_row_powers", lambda ill, b, x, pos, p_tx: np.full(len(pos), np.nan))
+        sweeps = []
+        powers = channel._powers
+        monkeypatch.setattr(channel, "_powers", lambda *a, **kw: sweeps.append(powers(*a, **kw)) or sweeps[-1])
+        (columns,) = _node_traces(s)
+        assert columns.metadata["kernel_rows"] == columns.metadata["grid"][0]
+        assert columns.metadata["kernel_columns"] == rows.metadata["kernel_columns"]
+        assert any(p is columns.power for p in sweeps)
+        assert np.max(np.abs(columns.power - rows.power)) <= 1e-10 * rows.power.max()
+
     def test_rerun_bit_identical(self):
         s = NODE_SCENARIOS["omni3p6-near-45"]
         (first,) = _node_traces(s)
         (second,) = _node_traces(s)
         assert first.metadata["kernel_columns"] < first.metadata["grid"][1]
+        assert first.metadata["kernel_rows"] < first.metadata["grid"][0]
         assert np.array_equal(first.power, second.power)
 
     def test_sweep_of_two_chunks_uses_real_columns(self):

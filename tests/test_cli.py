@@ -6,7 +6,7 @@ import pytest
 
 from rispattern import __version__, parse_scenario, run_scenario
 from rispattern import scenario as scenario_module
-from rispattern.cli import canonical_digest, main, trace_csv
+from rispattern.cli import canonical_digest, main, matrix_csv, trace_csv
 
 
 SCENARIO_TEXT = """\
@@ -83,16 +83,14 @@ class TestRunCommand:
         out = tmp_path / "out"
         main(["run", str(path), "--out", str(out)])
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["kernel_columns"] == manifest["grid"][1]
-        assert manifest["kernel_check_err"] == 0.0
-        assert manifest["interference_kernels"] == {
-            "interference_-15deg.csv": {"kernel_columns": manifest["grid"][1], "kernel_check_err": 0.0}
-        }
+        real = {"kernel_columns": manifest["grid"][1], "kernel_rows": manifest["grid"][0], "kernel_check_err": 0.0}
+        assert {key: manifest[key] for key in real} == real
+        assert manifest["interference_kernels"] == {"interference_-15deg.csv": real}
         assert manifest["step_deg"] == pytest.approx(1.0, abs=1e-12)
 
     def test_manifest_records_node_kernel_and_step(self, tmp_path):
-        # a 61 x 61 grid takes the node path, and so do its interference
-        # sweeps; 0.7 does not divide 180
+        # a 61 x 61 grid takes the node path on node rows too, and so do its
+        # interference sweeps; 0.7 does not divide 180
         path = tmp_path / "scenario.ini"
         path.write_text(
             "[scenario]\nfrequency_ghz = 2.3\ncriterion = uacp\ntarget_angle_deg = 30\n"
@@ -106,6 +104,7 @@ class TestRunCommand:
         assert sorted(manifest["interference_kernels"]) == ["interference_-15deg.csv", "interference_-50deg.csv"]
         for kernel in [manifest, *manifest["interference_kernels"].values()]:
             assert 4 <= kernel["kernel_columns"] <= 30
+            assert kernel["kernel_columns"] <= kernel["kernel_rows"] <= 30
             assert 0.0 < kernel["kernel_check_err"] <= 1e-10
         assert manifest["step_deg"] == pytest.approx(180.0 / 257, rel=1e-12)
 
@@ -459,3 +458,19 @@ class TestTraceCsv:
         assert lines[0] == "theta_deg,power_w,power_db_norm"
         assert lines[2] == "0,1,0"
         assert float(lines[3].split(",")[2]) == pytest.approx(-6.0206, abs=1e-3)
+
+    def test_same_bytes_as_formatting_each_value(self):
+        # the row templates print what an f"{v:.9g}" of each numpy value printed
+        from rispattern import PatternTrace
+
+        rng = np.random.default_rng(9)
+        special = [-np.inf, np.inf, np.nan, -0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e300, -1e300, 1.0]
+        values = np.concatenate([special, rng.standard_normal(40) * 10.0 ** rng.integers(-320, 300, 40)])
+        matrix = values.reshape(5, 10)
+        assert matrix_csv(matrix) == "\n".join(",".join(f"{v:.9g}" for v in row) for row in matrix) + "\n"
+        power = np.concatenate([[0.0, 5e-324, 1e300], rng.uniform(0.0, 2.0, 47)])
+        trace = PatternTrace(angles=values, power=power)
+        want = ["theta_deg,power_w,power_db_norm"]
+        want += [f"{t:.9g},{p:.9g},{d:.9g}" for t, p, d in zip(trace.angles, trace.power, trace.power_db_normalized)]
+        assert trace_csv(trace) == "\n".join(want) + "\n"
+        assert "-inf" in trace_csv(trace) and "nan" in trace_csv(trace)

@@ -66,7 +66,7 @@ def best_of_restarts(pair, alphabet, restarts, seed=0):
     return best
 
 
-def _reference_alternating(pair, alphabet, init=None, epsilon=None, max_sweeps=100):
+def _reference_alternating(pair, alphabet, init=None, rel_tol=1e-6, max_sweeps=100):
     """The per-element coordinate ascent, kept as the optimizer's oracle: one
     element at a time, the running total updated on every visit.  Returns
     (indices, trace, updates per sweep, converged)."""
@@ -82,8 +82,7 @@ def _reference_alternating(pair, alphabet, init=None, epsilon=None, max_sweeps=1
 
     total = np.sum(gh * gamma)
     f0 = abs(total) ** 2
-    if epsilon is None:
-        epsilon = 1e-6 * f0
+    epsilon = rel_tol * f0
 
     trace = [f0]
     update_count = 0
@@ -257,24 +256,22 @@ class TestAlternatingOptimizer:
             config, _ = optimize_alternating(pair, alph)
             assert is_coordinatewise_optimal(pair, config, alph)
 
-    def test_huge_tolerance_stops_after_one_sweep(self):
+    def test_huge_tolerance_stops_after_one_sweep(self, monkeypatch):
+        monkeypatch.setattr(designer, "_REL_TOL", 1e30)
         pair = make_pair(4, 4)
-        _, report = optimize_alternating(pair, builtin("mmwave27"), epsilon=1e12)
+        _, report = optimize_alternating(pair, builtin("mmwave27"))
         assert report.iterations == 1
         assert report.converged
 
-    def test_sweep_cap_reports_nonconverged(self):
+    def test_sweep_cap_reports_nonconverged(self, monkeypatch):
+        monkeypatch.setattr(designer, "_REL_TOL", 0.0)
+        monkeypatch.setattr(designer, "_MAX_SWEEPS", 1)
         pair = make_pair(4, 4, rx=(30.0, 0.0, 20.0))
-        _, report = optimize_alternating(
-            pair, builtin("testbed2p3"), epsilon=0.0, max_sweeps=1
-        )
+        _, report = optimize_alternating(pair, builtin("testbed2p3"))
         # one sweep from a cold start always moves the objective, so with a
         # zero tolerance the loop runs out of sweeps instead of converging
+        assert report.iterations == 1
         assert not report.converged
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            optimize_alternating(make_pair(), builtin("mmwave33"), epsilon=-1.0)
 
     def test_restarts_never_worse(self):
         pair = make_pair(3, 3, rx=(25.0, 10.0, 18.0))
@@ -337,18 +334,18 @@ def _batch_instance(seed):
     return pair, alph, init
 
 
-# (grid, tx, rx, alphabet, random start, epsilon, max_sweeps)
+# (grid, tx, rx, alphabet, random start, relative tolerance, sweep cap)
 ORACLE_CASES = {
-    "1x1": (1, 1, (0, 0, 50.0), (20.0, 5.0, 40.0), "omni3p6", False, None, 100),
-    "on-axis": (15, 15, (0, 0, 1.5), (0, 0, 0.6), "testbed2p3", False, None, 100),
-    "on-axis-uadp4": (14, 14, (0, 0, 1.5), (0, 0, 0.6), uadp_set(4), True, None, 100),
-    "mirror-xz": (12, 7, (-6.0, 0, 20.0), (6.0, 0, 20.0), "varactor5g", True, None, 100),
+    "1x1": (1, 1, (0, 0, 50.0), (20.0, 5.0, 40.0), "omni3p6", False, 1e-6, 100),
+    "on-axis": (15, 15, (0, 0, 1.5), (0, 0, 0.6), "testbed2p3", False, 1e-6, 100),
+    "on-axis-uadp4": (14, 14, (0, 0, 1.5), (0, 0, 0.6), uadp_set(4), True, 1e-6, 100),
+    "mirror-xz": (12, 7, (-6.0, 0, 20.0), (6.0, 0, 20.0), "varactor5g", True, 1e-6, 100),
     "eps0-capped": (10, 10, (0, 0, 50.0), (15.0, -4.0, 9.0), "varactor5g", False, 0.0, 2),
-    "eps-huge": (6, 11, (3.0, 2.0, 30.0), (-9.0, 1.0, 14.0), "mmwave27", True, 1e12, 100),
-    "over-1024": (41, 37, (0, 0, 40.0), (4.0, 0, 3.0), "varactor5g", False, None, 100),
-    "over-1024-random": (40, 40, (0, 0, 25.0), (10.0, 3.0, 6.0), uadp_set(8), True, None, 100),
+    "eps-huge": (6, 11, (3.0, 2.0, 30.0), (-9.0, 1.0, 14.0), "mmwave27", True, 1e30, 100),
+    "over-1024": (41, 37, (0, 0, 40.0), (4.0, 0, 3.0), "varactor5g", False, 1e-6, 100),
+    "over-1024-random": (40, 40, (0, 0, 25.0), (10.0, 3.0, 6.0), uadp_set(8), True, 1e-6, 100),
     # over 256 KiB of complex terms, where numpy may reuse a temporary operand
-    "over-16384-one-sweep": (129, 129, (0, 0, 30.0), (3.0, 1.0, 4.0), "omni3p6", False, None, 1),
+    "over-16384-one-sweep": (129, 129, (0, 0, 30.0), (3.0, 1.0, 4.0), "omni3p6", False, 1e-6, 1),
 }
 
 
@@ -356,8 +353,10 @@ class TestBlockScanOracle:
     """The certified-skip scan makes the per-element loop's decisions exactly."""
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
-    def test_matches_per_element_loop(self, case):
-        n, m, tx, rx, alph, random_start, epsilon, max_sweeps = ORACLE_CASES[case]
+    def test_matches_per_element_loop(self, monkeypatch, case):
+        n, m, tx, rx, alph, random_start, rel_tol, max_sweeps = ORACLE_CASES[case]
+        monkeypatch.setattr(designer, "_REL_TOL", rel_tol)
+        monkeypatch.setattr(designer, "_MAX_SWEEPS", max_sweeps)
         alph = builtin(alph) if isinstance(alph, str) else alph
         pair = make_pair(n, m, tx=tx, rx=rx, d=0.02)
         init = None
@@ -368,9 +367,9 @@ class TestBlockScanOracle:
                 alph.values[idx0], DesignCriterion.from_alphabet(alph), alphabet_indices=idx0
             )
         idx, trace, per_sweep, converged = _reference_alternating(
-            pair, alph, init, epsilon, max_sweeps
+            pair, alph, init, rel_tol, max_sweeps
         )
-        config, report = optimize_alternating(pair, alph, init, epsilon, max_sweeps)
+        config, report = optimize_alternating(pair, alph, init)
         assert np.array_equal(config.alphabet_indices, idx)
         assert report.objective_trace == trace
         assert report.updates_per_sweep == per_sweep
