@@ -92,18 +92,13 @@ the chirp left in).
 
 Memory is bounded whatever the grid: a sweep is processed in chunks of
 angles (of element rows at one angle, when one angle over the whole grid is
-too big) whose live temporaries, summed over the `_WORKERS` chunks in flight,
-stay within `_CHUNK_BUDGET` bytes, so a sweep needs that budget plus O(N*M)
-for the weights and tx-side terms.  The budget is small enough that a chunk
-stays in a core's cache, which is faster than fewer, larger chunks.  A
-kernel call of at least `_THREADED_CHUNKS` chunks runs them on `_WORKERS`
-threads of its own (numpy releases the GIL inside its ufuncs and BLAS
-calls), a smaller one, such as a check of the node path, in order.  The
-row path always runs its chunks in order: on the benchmark grids two
-threads did not make it faster.  Each chunk writes only its own slice of
-the output, its partial sums over element rows are added in a fixed order,
-and the chunking depends only on the grid shape, so reruns are bit for bit
-identical.
+too big) whose live temporaries stay within `_CHUNK_BUDGET` bytes, so a
+sweep needs that budget plus O(N*M) for the weights and tx-side terms.  The
+budget is small enough that a chunk stays in a core's cache, which is faster
+than fewer, larger chunks.  The chunks run in order, each writes only its
+own slice of the output, its partial sums over element rows are added in a
+fixed order, and the chunking depends only on the grid shape, so reruns are
+bit for bit identical.
 """
 
 from __future__ import annotations
@@ -125,20 +120,8 @@ _SINC_SERIES_BELOW = 1e-4
 # boolean mask.
 _BYTES_PER_ELEMENT_ANGLE = 5 * 8 + 1
 
-# Upper bound, in bytes, on the live chunk temporaries of all workers at once.
-_CHUNK_BUDGET = 4 * 2**20
-
-# Threads of a kernel call of at least _THREADED_CHUNKS chunks.  A fixed
-# count keeps the chunking, and so the rounding of a sweep, independent of
-# the machine's CPU count.  On a 2-vCPU x86-64 box two threads cut the
-# far-sweep benchmark's wall time by 28% against one; more were not measured.
-_WORKERS = 2
-
-# Fewest chunks of a kernel call that run on threads; fewer run in order.
-# On the same box, real-column calls on 25^2-145^2 grids ran faster on two
-# threads from 8 chunks on, and calls on 4-6 node columns of 61^2-245^2 grids
-# from 12-16; the far-field benchmark's node sweeps have 14-51 chunks.
-_THREADED_CHUNKS = 8
+# Upper bound, in bytes, on the live temporaries of one chunk.
+_CHUNK_BUDGET = 2 * 2**20
 
 # Most multiply-adds of one BLAS product of the row path.  OpenBLAS runs a
 # product of more than 2^18 on threads of its own; on a 2-vCPU x86-64 box
@@ -280,75 +263,18 @@ def _rx_terms(ill: _Illumination, pos: np.ndarray, rho: np.ndarray | None = None
 def _chunk_shape(n_rows: int, n_cols: int, chunk_elements: int | None = None) -> tuple[int, int]:
     """(angles, grid rows) of one chunk of a sweep over an n_rows x n_cols grid.
 
-    Each of the _WORKERS chunks that can be in flight gets an equal share of
-    _CHUNK_BUDGET.  A chunk takes whole angles over the full grid while one
-    angle fits its share, and otherwise one angle over as many grid rows as
-    fit; only a single grid row wider than the share overruns it.
+    A chunk takes whole angles over the full grid while one angle fits
+    _CHUNK_BUDGET, and otherwise one angle over as many grid rows as fit;
+    only a single grid row wider than the budget overruns it.
     chunk_elements, if given, caps the element-angles of a chunk.
     """
-    share = _CHUNK_BUDGET // _WORKERS
     row_bytes = _BYTES_PER_ELEMENT_ANGLE * n_cols
-    grid_rows = max(1, min(n_rows, share // row_bytes))
-    angles = max(1, share // (row_bytes * grid_rows))
+    grid_rows = max(1, min(n_rows, _CHUNK_BUDGET // row_bytes))
+    angles = max(1, _CHUNK_BUDGET // (row_bytes * grid_rows))
     if chunk_elements is not None:
         grid_rows = max(1, min(grid_rows, chunk_elements // n_cols))
         angles = max(1, min(angles, chunk_elements // (grid_rows * n_cols)))
     return angles, grid_rows
-
-
-def _block_sums(block: _Illumination, w_block: np.ndarray, pos: np.ndarray):
-    """Products of the (2, E) weights of one block of element rows with the
-    real and half-imaginary parts of its rx factor, (2, A) each.
-
-    The chunk temporaries are freed on return, before the next block's.
-    """
-    sinc_x, c, s = _rx_terms(block, pos)
-    c *= sinc_x
-    s *= sinc_x
-    return w_block @ c.reshape(len(pos), -1).T, w_block @ s.reshape(len(pos), -1).T
-
-
-def _powers(
-    ill: _Illumination,
-    w: np.ndarray,
-    rx_positions: np.ndarray,
-    p_tx: float,
-    chunk_elements: int | None = None,
-) -> np.ndarray:
-    """p_tx |sum_nm (w[0] + 1j w[1])_nm K_n(pos, y_m)|^2 at each of the rx
-    positions (A, 3), where y_m are the columns of ill and K is its rx
-    factor; chunk_elements, if given, caps the element-angles of a chunk.
-    A call of at least _THREADED_CHUNKS chunks runs them on threads."""
-    n_rows, n_cols = w.shape[1:]
-    n_pos = len(rx_positions)
-    out = np.empty(n_pos)
-    angles, grid_rows = _chunk_shape(n_rows, n_cols, chunk_elements)
-    blocks = [
-        (ill.rows(sl), w[:, sl].reshape(2, -1))
-        for sl in (slice(n, n + grid_rows) for n in range(0, n_rows, grid_rows))
-    ]
-
-    def run(start: int) -> None:
-        pos = rx_positions[start : start + angles]
-        re = np.zeros(len(pos))
-        im = np.zeros(len(pos))
-        for block, w_block in blocks:
-            p, q = _block_sums(block, w_block, pos)
-            re += p[0] + 2.0 * q[1]
-            im += p[1] - 2.0 * q[0]
-        out[start : start + len(pos)] = p_tx * (re * re + im * im)
-
-    starts = range(0, n_pos, angles)
-    if len(starts) < _THREADED_CHUNKS:
-        for start in starts:
-            run(start)
-    else:
-        # imported here: it adds ~7 ms to importing the package
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(_WORKERS) as pool:
-            list(pool.map(run, starts))
-    return out
 
 
 def _row_distances(pos: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -360,56 +286,88 @@ def _row_distances(pos: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(rho, out=rho)
 
 
-def _row_powers(ill: _Illumination, b: np.ndarray, x: np.ndarray, rx_positions: np.ndarray, p_tx: float) -> np.ndarray:
-    """p_tx |F|^2 of the module docstring's row path at each of the rx
-    positions (A, 3): ill holds the tx-side terms at the r_x node rows and
-    r_y node columns, and b is the `_row_weights` pair at the N element rows
-    x: E_p @ b comes from four real products.
+def _powers(
+    ill: _Illumination,
+    w: np.ndarray,
+    rx_positions: np.ndarray,
+    p_tx: float,
+    chunk_elements: int | None = None,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """p_tx |F|^2 at each of the rx positions (A, 3), F being the sum of the
+    real pair of weights w times the rx factor K at the points of ill.
 
+    Without rows, F = sum_nm (w[0] + 1j w[1])_nm K(x_n, y_m) over the rows
+    and columns of ill, the real columns or the column nodes.  A chunk has
+    the shape of `_chunk_shape`, at most chunk_elements element-angles if
+    given, and its blocks of grid rows are contracted with the weights by
+    BLAS products.
+
+    With rows, the N element row centers, F is the row path's sum of the
+    module docstring: ill holds the node rows and node columns and w is the
+    `_row_weights` pair B.  Each position's weights E_p @ B come from four
+    real products, split into blocks of angles of at most _SERIAL_PRODUCT
+    multiply-adds, and K / E_p is contracted with them position by position.
     A chunk's live temporaries take at most 4 float64 values per element
-    row (the row phases) and 8 per node point (the kernel and the products
-    with b) for each of its angles, and fit half a worker's share of
-    _CHUNK_BUDGET, like the chunks of the column nodes.  The chunks run in
-    order, and each product with b is split into blocks of angles of at
-    most _SERIAL_PRODUCT multiply-adds.
+    row (the row phases) and 8 per node point (the kernel and the weights)
+    for each of its angles, and fit half of _CHUNK_BUDGET, like the chunks
+    of the column nodes.
+
+    The chunks run in order, and a block's kernel arrays are freed before
+    the next block's.
     """
-    out = np.empty(len(rx_positions))
-    points = len(ill.x) * len(ill.y)
-    angles = max(1, _CHUNK_BUDGET // (2 * _WORKERS) // (8 * (4 * len(x) + 8 * points)))
-    block = max(1, _SERIAL_PRODUCT // (len(x) * points))
-
-    # a function, so that a chunk's arrays are freed before the next chunk's
-    def run(start: int) -> None:
+    n_pos = len(rx_positions)
+    out = np.empty(n_pos)
+    if rows is None:
+        n_rows, n_cols = w.shape[1:]
+        angles, grid_rows = _chunk_shape(n_rows, n_cols, chunk_elements)
+        blocks = [
+            (ill.rows(sl), w[:, sl].reshape(2, -1))
+            for sl in (slice(n, n + grid_rows) for n in range(0, n_rows, grid_rows))
+        ]
+    else:
+        points = len(ill.x) * len(ill.y)
+        angles = max(1, _CHUNK_BUDGET // 2 // (8 * (4 * len(rows) + 8 * points)))
+        split = max(1, _SERIAL_PRODUCT // (len(rows) * points))
+        blocks = [(ill, w)]
+    for start in range(0, n_pos, angles):
         pos = rx_positions[start : start + angles]
-        # E_p = c - 1j s at the element rows: cos and sin of k rho, from
-        # tan(k rho / 2)
-        s = _row_distances(pos, x)
-        s *= ill.half_k
-        np.tan(s, out=s)
-        c = np.ones_like(s)
-        _apply_phase(c, s, np.empty_like(s), np.empty_like(s))
-        s *= 2.0
-        # e = sum_n E_p(x_n) B[n] = (c B_re + s B_im) + 1j (c B_im - s B_re)
-        e_re = np.empty((len(pos), points))
-        e_im = np.empty((len(pos), points))
-        for i in range(0, len(pos), block):
-            sl = slice(i, i + block)
-            np.matmul(c[sl], b[0], out=e_re[sl])
-            e_re[sl] += s[sl] @ b[1]
-            np.matmul(c[sl], b[1], out=e_im[sl])
-            e_im[sl] -= s[sl] @ b[0]
-        del c, s
-        sinc_x, re, im_half = _rx_terms(ill, pos, _row_distances(pos, ill.x))  # K / E_p
-        re *= sinc_x
-        im_half *= sinc_x
-        re = re.reshape(len(pos), points)
-        im_half = im_half.reshape(len(pos), points)
-        f_re = np.einsum("ap,ap->a", re, e_re) + 2.0 * np.einsum("ap,ap->a", im_half, e_im)
-        f_im = np.einsum("ap,ap->a", re, e_im) - 2.0 * np.einsum("ap,ap->a", im_half, e_re)
-        out[start : start + len(pos)] = p_tx * (f_re * f_re + f_im * f_im)
-
-    for start in range(0, len(rx_positions), angles):
-        run(start)
+        re = np.zeros(len(pos))
+        im = np.zeros(len(pos))
+        for block, weights in blocks:
+            if rows is None:
+                sinc_x, c, s = _rx_terms(block, pos)
+            else:
+                # E_p = cos - 1j sin of k rho at the element rows, from
+                # tan(k rho / 2)
+                sin = _row_distances(pos, rows)
+                sin *= block.half_k
+                np.tan(sin, out=sin)
+                cos = np.ones_like(sin)
+                _apply_phase(cos, sin, np.empty_like(sin), np.empty_like(sin))
+                sin *= 2.0
+                # sum_n E_p(x_n) B[n] = (cos B_re + sin B_im) + 1j (cos B_im - sin B_re)
+                weights = np.empty((len(pos), points)), np.empty((len(pos), points))
+                for sl in (slice(i, i + split) for i in range(0, len(pos), split)):
+                    np.matmul(cos[sl], w[0], out=weights[0][sl])
+                    weights[0][sl] += sin[sl] @ w[1]
+                    np.matmul(cos[sl], w[1], out=weights[1][sl])
+                    weights[1][sl] -= sin[sl] @ w[0]
+                del cos, sin
+                sinc_x, c, s = _rx_terms(block, pos, _row_distances(pos, block.x))  # K / E_p
+            c *= sinc_x
+            s *= sinc_x
+            c = c.reshape(len(pos), -1)
+            s = s.reshape(len(pos), -1)
+            if rows is None:
+                p, q = weights @ c.T, weights @ s.T
+            else:
+                p = [np.einsum("ap,ap->a", c, e) for e in weights]
+                q = [np.einsum("ap,ap->a", s, e) for e in weights]
+            re += p[0] + 2.0 * q[1]
+            im += p[1] - 2.0 * q[0]
+            del sinc_x, c, s, weights, p, q
+        out[start : start + len(pos)] = p_tx * (re * re + im * im)
     return out
 
 
@@ -503,19 +461,19 @@ def _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, meta):
         # rule that gates the column nodes themselves
         if len(rx_positions) <= 2 * _chunk_shape(geom.n_rows, r, chunk_elements)[0]:
             row_counts = []
-        for q in row_counts:
-            row_nodes, basis = _chebyshev_basis(ill.x, q)
-            row_ill = _illuminate(geom, wave, tx, row_nodes, nodes)
-            rows = partial(_row_powers, row_ill, _row_weights(node_w, basis), ill.x, p_tx=p_tx)
-            if passes(rows):
-                power, err = checked_sweep(rows)
-                if err <= _NODE_TOL:
-                    meta.update(kernel_columns=r, kernel_rows=q, kernel_check_err=err)
-                    return power
-        power, err = checked_sweep(columns)
-        if err <= _NODE_TOL:
-            meta.update(kernel_columns=r, kernel_check_err=err)
-            return power
+        # the row counts, then n_rows: the column nodes, which have passed
+        for q in row_counts + [geom.n_rows]:
+            kernel = columns
+            if q < geom.n_rows:
+                row_nodes, basis = _chebyshev_basis(ill.x, q)
+                row_ill = _illuminate(geom, wave, tx, row_nodes, nodes)
+                kernel = partial(_powers, row_ill, _row_weights(node_w, basis), p_tx=p_tx, rows=ill.x)
+                if not passes(kernel):
+                    continue
+            power, err = checked_sweep(kernel)
+            if err <= _NODE_TOL:
+                meta.update(kernel_columns=r, kernel_rows=q, kernel_check_err=err)
+                return power
     return None
 
 

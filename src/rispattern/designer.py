@@ -80,9 +80,8 @@ class OptimizerReport:
         return sum(self.updates_per_sweep)
 
 
-# Coordinate ascent stops once a full sweep moves the objective by at most
-# _REL_TOL times its initial value, or after _MAX_SWEEPS sweeps.
-_REL_TOL = 1e-6
+# Coordinate ascent stops after a sweep that changes no element, or after
+# _MAX_SWEEPS sweeps.
 _MAX_SWEEPS = 100
 
 # The certified-skip scan (module docstring): elements per round, the drift
@@ -165,9 +164,9 @@ def optimize_alternating(
     |G|^2 |g h|^2 + 2 Re{G g h conj(alpha)} over the L alphabet entries,
     where alpha is the field sum excluding the element being updated; ties
     break to the lowest alphabet index, and an element only changes state on
-    a strict improvement.  The outer loop stops once a full sweep moves the
-    objective by at most _REL_TOL (1e-6) times its initial value, or after
-    _MAX_SWEEPS (100) sweeps (converged=False, best-so-far returned).
+    a strict improvement.  The outer loop stops after a sweep that changes
+    no element (converged=True), or after _MAX_SWEEPS (100) sweeps
+    (converged=False, best-so-far returned).
     Coordinate ascent is a local method: the output is coordinate-wise
     optimal, not necessarily the global optimum.
     """
@@ -190,8 +189,6 @@ def optimize_alternating(
     gamma = values[idx]
     terms = gh * gamma
     total = np.sum(terms)
-    f0 = abs(total) ** 2
-    epsilon = _REL_TOL * f0
 
     # The skip test's constants.  spread[m] = max_l |v_l - v_m| bounds how
     # fast the score differences of an element holding entry m move with the
@@ -208,7 +205,7 @@ def optimize_alternating(
     entries = coef.tolist()
     values_list = values.tolist()
 
-    trace = [f0]
+    trace = [abs(total) ** 2]
     updates_per_sweep = []
     converged = False
     for _ in range(_MAX_SWEEPS):
@@ -274,9 +271,8 @@ def optimize_alternating(
         gamma = values[idx]
         terms = gh * gamma
         total = np.sum(terms)
-        f_new = abs(total) ** 2
-        trace.append(f_new)
-        if abs(f_new - trace[-2]) <= epsilon:
+        trace.append(abs(total) ** 2)
+        if not updates:
             converged = True
             break
 

@@ -303,6 +303,21 @@ def test_criterion_03_beam_splitter(beamsplit_run):
     # aperture-to-wavelength ratio
 
 
+def test_criterion_03_study():
+    # why criterion 03 misses its gate: the model's obliquity and
+    # element-factor taper pull the lobes inward, less as the aperture grows,
+    # and they pull the continuous-phase beam in too, so the solver is not the
+    # cause; a 2 m aperture would put the UADP(2) lobe inside the gate
+    def lobe(criterion, aperture):
+        s = Scenario(2.3e9, criterion, 45.0, pitch_divisor=8.0, aperture=aperture, sweep_step=0.1)
+        return peak_near(run_scenario(s).trace, 45.0)[0]
+
+    peaks = [lobe(DesignCriterion.uadp(2), aperture) for aperture in (0.5, 1.0, 2.0)]
+    assert peaks == pytest.approx([42.4, 44.2, 44.8], abs=0.05)
+    assert peaks[0] < peaks[1] < peaks[2] < 45.0
+    assert lobe(DesignCriterion.uacp(), 1.0) == pytest.approx(44.4, abs=0.05)
+
+
 def test_criterion_04_quantization_recovery(fourstate_run, beamsplit_run):
     trace = fourstate_run.trace
     _, p_pos = peak_near(trace, 45.0, window=5.0)

@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 import tracemalloc
 import warnings
@@ -281,15 +280,37 @@ class TestChunking:
         tx = Terminal((0.3, 0.1, 2.0))
         return sweep(self.geom, self.wave, tx, gamma, self.spec).power
 
+    def row_path(self):
+        """The sweep's powers on the row path, on 4 x 4 nodes."""
+        rng = np.random.default_rng(8)
+        gamma = np.exp(1j * rng.uniform(-np.pi, np.pi, (12, 9)))
+        tx = Terminal((0.3, 0.1, 2.0))
+        ill = channel._illuminate(self.geom, self.wave, tx, self.geom.x_centers, self.geom.y_centers)
+        weight = gamma * (ill.re - 2j * ill.im_half)
+        nodes, node_w = channel._node_weights(np.stack([weight.real, weight.imag]), ill.y, 4, 0.0)
+        row_nodes, basis = channel._chebyshev_basis(ill.x, 4)
+        row_ill = channel._illuminate(self.geom, self.wave, tx, row_nodes, nodes)
+        positions = rx_arc_position(2.0, self.spec.angles)
+        return channel._powers(row_ill, channel._row_weights(node_w, basis), positions, 1.0, rows=ill.x)
+
     @pytest.mark.parametrize(
         "angles, grid_rows",
-        [(7, 12), (1, 5)],
-        ids=["several-angles", "partial-grid"],
+        [(7, 12), (1, 5), (7, None)],
+        ids=["several-angles", "partial-grid", "row-path"],
     )
     def test_multi_chunk_matches_one_chunk(self, monkeypatch, angles, grid_rows):
         assert channel._chunk_shape(12, 9)[0] >= len(self.spec.angles)
+        if grid_rows is None:
+            # the row path, 12 element rows on 4 x 4 nodes: one chunk of 181
+            # angles, then chunks of 7 and a last one of 6 (a product of one
+            # angle takes numpy's matrix-vector path and may round otherwise)
+            one_chunk = self.row_path()
+            monkeypatch.setattr(channel, "_CHUNK_BUDGET", 2 * 8 * (4 * 12 + 8 * 16) * angles)
+            chunked = self.row_path()
+            assert np.array_equal(chunked, one_chunk)
+            return
         one_chunk = self.trace()
-        budget = channel._WORKERS * channel._BYTES_PER_ELEMENT_ANGLE * 9 * grid_rows * angles
+        budget = channel._BYTES_PER_ELEMENT_ANGLE * 9 * grid_rows * angles
         monkeypatch.setattr(channel, "_CHUNK_BUDGET", budget)
         assert channel._chunk_shape(12, 9) == (angles, grid_rows)
         chunked = self.trace()
@@ -302,7 +323,7 @@ class TestChunking:
             n_rows = -(-e // n_cols)
             angles, grid_rows = channel._chunk_shape(n_rows, n_cols)
             assert angles >= 1 and 1 <= grid_rows <= n_rows
-            live = channel._WORKERS * angles * grid_rows * n_cols * channel._BYTES_PER_ELEMENT_ANGLE
+            live = angles * grid_rows * n_cols * channel._BYTES_PER_ELEMENT_ANGLE
             assert live <= channel._CHUNK_BUDGET
 
     def test_sweep_memory_stays_within_budget(self, monkeypatch):
@@ -327,60 +348,25 @@ class TestChunking:
         assert len(spec.angles) * geom.n_elements * channel._BYTES_PER_ELEMENT_ANGLE > 10 * budget
         assert peak <= budget + per_grid
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The thread pools that kernel calls construct, recorded."""
-        built = []
-
-        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-        return built
-
-    def sweep_40(self, count):
-        geom = RisGeometry(40, 40, 0.02, 0.02)
-        spec = SweepSpec(step=180.0 / (count - 1))
-        assert len(spec.angles) == count
-        rng = np.random.default_rng(3)
-        gamma = np.exp(1j * rng.uniform(-np.pi, np.pi, (40, 40)))
-        return sweep(geom, self.wave, Terminal((0.0, 0.0, 3.0)), gamma, spec)
-
-    def test_calls_below_threaded_chunks_start_no_threads(self, pools):
-        # three real-column chunks take the node path, whose chunks hold more
-        # angles; each of its calls, and the real columns, stays below
-        # _THREADED_CHUNKS
-        assert 3 < channel._THREADED_CHUNKS
-        angles = channel._chunk_shape(40, 40)[0]
-        trace = self.sweep_40(3 * angles)
-        assert trace.metadata["kernel_columns"] < 40
-        assert self.sweep_40(angles).metadata["kernel_columns"] == 40
-        assert pools == []
-
-    def test_row_path_runs_in_order(self, pools):
-        count = 3 * channel._THREADED_CHUNKS * channel._chunk_shape(40, 40)[0]
-        assert self.sweep_40(count).metadata["kernel_rows"] < 40
-        assert pools == []
-
-    @pytest.mark.parametrize("node_counts", [channel._NODE_COUNTS, ()], ids=["node-columns", "real-columns"])
-    def test_threaded_call_matches_in_order(self, monkeypatch, pools, node_counts):
-        monkeypatch.setattr(channel, "_NODE_COUNTS", node_counts)
-        # the row path runs its chunks in order: with every row count
-        # failing its check, the column nodes sweep, on threads
-        monkeypatch.setattr(channel, "_row_powers", lambda ill, b, x, pos, p_tx: np.full(len(pos), np.nan))
-        # the node path's chunks hold up to 40 / (2 * 8) times the angles
-        count = 3 * channel._THREADED_CHUNKS * channel._chunk_shape(40, 40)[0]
-        threaded = self.sweep_40(count)
-        assert pools == [(channel._WORKERS,)]
-        monkeypatch.setattr(channel, "_THREADED_CHUNKS", 2 * count)  # above any call's chunk count
-        in_order = self.sweep_40(count)
-        assert len(pools) == 1
-        assert (threaded.metadata["kernel_columns"] < 40) == bool(node_counts)
-        assert threaded.metadata["kernel_rows"] == 40
-        assert threaded.metadata == in_order.metadata
-        assert np.array_equal(threaded.power, in_order.power)
+    def test_blocks_of_grid_rows_live_one_at_a_time(self, monkeypatch):
+        # a real-column sweep whose chunks are one angle over 20 of the 40
+        # element rows: a block's kernel arrays must be freed before the
+        # next block's are made, or the peak grows by about one block
+        geom = RisGeometry(40, 400, 0.02, 0.02)
+        block = channel._BYTES_PER_ELEMENT_ANGLE * 20 * geom.n_cols
+        monkeypatch.setattr(channel, "_CHUNK_BUDGET", block)
+        monkeypatch.setattr(channel, "_NODE_COUNTS", ())
+        assert channel._chunk_shape(geom.n_rows, geom.n_cols) == (1, 20)
+        gamma = np.ones((40, 400), complex)
+        tx = Terminal((0.0, 0.0, 3.0))
+        tracemalloc.start()
+        try:
+            trace = sweep(geom, self.wave, tx, gamma, SweepSpec(step=30.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.metadata["kernel_columns"] == geom.n_cols
+        assert peak <= block + 7 * 8 * geom.n_elements
 
 
 def _far(criterion, target, pitch_divisor, frequency, aperture=1.0, **kw):
@@ -520,7 +506,7 @@ class TestNodeKernel:
         else:
             row_nodes, row_basis = channel._chebyshev_basis(ill.x, 12)
         row_ill = channel._illuminate(geom, wave, tx, row_nodes, nodes)
-        rows = channel._row_powers(row_ill, channel._row_weights(node_w, row_basis), ill.x, positions, 1.0)
+        rows = channel._powers(row_ill, channel._row_weights(node_w, row_basis), positions, 1.0, rows=ill.x)
         assert np.max(np.abs(rows - columns)) <= 1e-12 * columns.max()
 
     def test_positions_off_the_arc_plane(self, monkeypatch):
@@ -565,10 +551,16 @@ class TestNodeKernel:
         (rows,) = _node_traces(s)
         assert rows.metadata["kernel_rows"] < rows.metadata["grid"][0]
         # no row count passes a check: the column nodes' sweep is returned
-        monkeypatch.setattr(channel, "_row_powers", lambda ill, b, x, pos, p_tx: np.full(len(pos), np.nan))
         sweeps = []
         powers = channel._powers
-        monkeypatch.setattr(channel, "_powers", lambda *a, **kw: sweeps.append(powers(*a, **kw)) or sweeps[-1])
+
+        def no_rows(ill, w, pos, p_tx, chunk_elements=None, rows=None):
+            if rows is not None:
+                return np.full(len(pos), np.nan)
+            sweeps.append(powers(ill, w, pos, p_tx, chunk_elements))
+            return sweeps[-1]
+
+        monkeypatch.setattr(channel, "_powers", no_rows)
         (columns,) = _node_traces(s)
         assert columns.metadata["kernel_rows"] == columns.metadata["grid"][0]
         assert columns.metadata["kernel_columns"] == rows.metadata["kernel_columns"]
