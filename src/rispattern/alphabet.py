@@ -36,6 +36,8 @@ class ComplexCoefficient:
             raise AlphabetError(
                 f"reflection amplitude must be in [0, 1], got {self.amplitude}"
             )
+        if not math.isfinite(self.phase):
+            raise AlphabetError(f"reflection phase must be finite, got {self.phase}")
         object.__setattr__(self, "phase", canonical_phase(self.phase))
 
     @classmethod
@@ -248,6 +250,8 @@ def load_alphabet(text: str, source_label: str = "") -> Alphabet:
                 controls.append(float(cells[i_ctrl]))
         except (ValueError, IndexError) as exc:
             raise AlphabetError(f"line {lineno}: cannot parse row {cells}") from exc
+        if controls and not math.isfinite(controls[-1]):
+            raise AlphabetError(f"line {lineno}: control value must be finite, got {controls[-1]}")
         if amp_unit == "db":
             amp = 10.0 ** (amp / 20.0)
         if ph_unit == "deg":

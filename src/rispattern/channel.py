@@ -72,23 +72,24 @@ while every checked angle passed.
 
 The counts are chosen per sweep and checked against the real columns at
 run time.  The column counts of `_NODE_COUNTS` with 2 r_y <= M are tried in
-turn; a count is a candidate once its power matches the real columns within
-`_NODE_TOL` of the largest checked power at the sweep's first, middle and
-last positions.  Where its sweep would take more than two chunks, the row
-counts of `_NODE_COUNTS` from r_y on, with 2 r_x <= N, are then tried the
-same way; the first that passes that check runs the sweep, and it is kept
-if it also matches at the trace peak and at the strongest position of each
-outer quarter, where the error left after demodulation grows (it scales
-with sin(theta)).  Otherwise those positions stay checked for every later
-candidate.  If no row count is kept, the column count runs the sweep and is
-kept on the same second check; if no column count is kept, the sweep runs
-on the real columns.  A sweep of at most two chunks always does: it takes
-about as long as the checks would.  The node path, checks included, runs in
+turn; a count's column nodes (r_y node columns over all N rows) only gate
+it, and must match the real columns within `_NODE_TOL` of the exact power
+at the sweep's middle position.  The arc's ends are not checked: at -90
+and 90 degrees the receiver lies in the surface's plane (z = R cos 90 deg,
+about 6e-17 R) and sees about 1e-32 of the middle's power.  The row counts
+of `_NODE_COUNTS` from r_y on, with 2 r_x <= N, are then tried the same
+way; the first that passes runs the sweep, and it is kept if it also
+matches at the trace peak and at the strongest position of each outer
+quarter, where the error left after demodulation grows (it scales with
+sin(theta)).  Otherwise those positions stay checked for every later
+candidate.  If no count is kept, the sweep runs on the real columns; so do
+a sweep of at most two chunks, which takes about as long as the checks
+would, and a grid of fewer than 2 r_y rows, which only the API can build
+(scenario grids are square).  The node path, checks included, runs in
 chunks of half the live bytes of a real-column chunk, so it needs less
 memory than the real columns.  The far-field benchmark takes 4 x 4 nodes
 on its 245^2 and 145^2 grids and 6 x 6 on its 61^2 grid, and its 5 m near
-arc 12 x 12 on 48^2 and 72^2 (the column counts were 8 or 12, and 24, with
-the chirp left in).
+arc 12 x 12 on 48^2 and 72^2.
 
 Memory is bounded whatever the grid: a sweep is processed in chunks of
 angles (of element rows at one angle, when one angle over the whole grid is
@@ -311,7 +312,7 @@ def _powers(
     A chunk's live temporaries take at most 4 float64 values per element
     row (the row phases) and 8 per node point (the kernel and the weights)
     for each of its angles, and fit half of _CHUNK_BUDGET, like the chunks
-    of the column nodes.
+    of the column nodes' checks.
 
     The chunks run in order, and a block's kernel arrays are freed before
     the next block's.
@@ -414,8 +415,8 @@ def _check_error(approx: np.ndarray, exact: np.ndarray) -> float:
 
 
 def _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, meta):
-    """The powers of `_received_powers` on the first node count, with the
-    first row count if any, that passes both checks, or None if none does.
+    """The powers of `_received_powers` on the first node rows that pass both
+    checks, or None if none do.
 
     The positions checked after a sweep stay checked for the sweeps after
     it."""
@@ -428,7 +429,8 @@ def _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, meta):
     # whole chunks or faster
     angles, grid_rows = _chunk_shape(geom.n_rows, geom.n_cols)
     chunk_elements = angles * grid_rows * geom.n_cols // 2
-    checked = [0, len(rx_positions) // 2, len(rx_positions) - 1]
+    # not the arc's ends, which see ~1e-32 of its power (module docstring)
+    checked = [len(rx_positions) // 2]
     exact = _powers(ill, w, rx_positions[checked], p_tx, chunk_elements)
 
     def passes(kernel) -> bool:
@@ -453,23 +455,15 @@ def _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, meta):
     for r in counts:
         nodes, node_w = _node_weights(w, ill.y, r, rate)
         node_ill = _illuminate(geom, wave, tx, ill.x, nodes)
-        columns = partial(_powers, node_ill, node_w, p_tx=p_tx, chunk_elements=chunk_elements)
-        if not passes(columns):
+        # the column nodes only gate the count's row ladder
+        if not passes(partial(_powers, node_ill, node_w, p_tx=p_tx, chunk_elements=chunk_elements)):
             continue
-        row_counts = [q for q in _NODE_COUNTS if r <= q and 2 * q <= geom.n_rows]
-        # rows only where the column nodes take more than two chunks, the
-        # rule that gates the column nodes themselves
-        if len(rx_positions) <= 2 * _chunk_shape(geom.n_rows, r, chunk_elements)[0]:
-            row_counts = []
-        # the row counts, then n_rows: the column nodes, which have passed
-        for q in row_counts + [geom.n_rows]:
-            kernel = columns
-            if q < geom.n_rows:
-                row_nodes, basis = _chebyshev_basis(ill.x, q)
-                row_ill = _illuminate(geom, wave, tx, row_nodes, nodes)
-                kernel = partial(_powers, row_ill, _row_weights(node_w, basis), p_tx=p_tx, rows=ill.x)
-                if not passes(kernel):
-                    continue
+        for q in [q for q in _NODE_COUNTS if r <= q and 2 * q <= geom.n_rows]:
+            row_nodes, basis = _chebyshev_basis(ill.x, q)
+            row_ill = _illuminate(geom, wave, tx, row_nodes, nodes)
+            kernel = partial(_powers, row_ill, _row_weights(node_w, basis), p_tx=p_tx, rows=ill.x)
+            if not passes(kernel):
+                continue
             power, err = checked_sweep(kernel)
             if err <= _NODE_TOL:
                 meta.update(kernel_columns=r, kernel_rows=q, kernel_check_err=err)
@@ -490,17 +484,15 @@ def _received_powers(
     (A, 3).
 
     A sweep of more than two chunks evaluates the rx factor, with the
-    chirp of the arc's radius taken out, at the first count of
-    _NODE_COUNTS Chebyshev nodes in y that matches the real columns at its
-    first, middle and last positions and then at its peak and the strongest
-    position of each outer quarter; where those columns take more than two
-    chunks, it first tries the rows too, with each position's row distance
-    taken out, at node counts from the column count on.  Otherwise it runs
-    on the real columns (see the module docstring).  If meta is given, it
-    receives kernel_columns, the node count or n_cols for the real columns,
-    kernel_rows, the row node count or n_rows, and kernel_check_err, the
-    worst checked error as a share of the largest checked power (0.0 for
-    the real columns).
+    chirp of the arc's radius and each position's row distance taken out,
+    on the first Chebyshev node rows and columns of _NODE_COUNTS that match
+    the real columns at the sweep's middle position and then at its peak
+    and the strongest position of each outer quarter; otherwise it runs on
+    the real columns (see the module docstring).  If meta is given, it
+    receives kernel_columns, the column node count or n_cols for the real
+    columns, kernel_rows, the row node count or n_rows, and
+    kernel_check_err, the worst checked error as a share of the largest
+    checked power (0.0 for the real columns).
     """
     meta = {} if meta is None else meta
     meta.update(kernel_columns=geom.n_cols, kernel_rows=geom.n_rows, kernel_check_err=0.0)

@@ -9,17 +9,17 @@ study.
 
 Every sweep point comes from the same per-element kernel that builds
 `ChannelPair` (see the channel module).  A sweep of more than two chunks
-takes the arc's Fresnel chirp out of each element row's rx factor and
-evaluates the rest on a few Chebyshev interpolation columns instead of on
-every column; where that still takes more than two chunks, it also takes
-each position's exact distance from the row axis out of the phase and
-interpolates the rows on a few Chebyshev nodes.  The result is checked
-against the real columns at run time, at its first, middle, last and peak
-angles and the strongest angle of each outer quarter, to 1e-10 of the
-largest checked power; a row count that fails leaves the column nodes, and
-if no column count passes, the sweep runs on the real columns, where each
-point equals `received_power` of the pointwise channel up to rounding.  The
-trace metadata records `kernel_columns` (the column node count, or the
+takes the arc's Fresnel chirp and each position's exact distance from the
+row axis out of the phase, and evaluates the rest on a few Chebyshev node
+rows and columns instead of on every element.  A column count's node rows
+are tried only once its node columns over all rows match the real columns
+at the middle angle; the ends of the arc lie in the surface's plane and
+see no power, so they are not checked.  The sweep on node rows is then
+checked against the real columns at the middle and peak angles and the
+strongest angle of each outer quarter, to 1e-10 of the largest checked
+power; if no count passes, the sweep runs on the real columns, where each
+point equals `received_power` of the pointwise channel up to rounding.
+The trace metadata records `kernel_columns` (the column node count, or the
 column count), `kernel_rows` (the row node count, or the row count),
 `kernel_check_err` (the worst checked error as a share of the checked peak,
 a spot check of the trace, not a bound on it) and `step_deg`, the angular

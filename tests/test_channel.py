@@ -447,7 +447,7 @@ class TestNodeKernel:
         for a, b in zip(node, real):
             n_rows, n_cols = a.metadata["grid"]
             assert a.metadata["kernel_columns"] < n_cols
-            assert a.metadata["kernel_columns"] <= a.metadata["kernel_rows"] <= n_rows
+            assert a.metadata["kernel_columns"] <= a.metadata["kernel_rows"] < n_rows
             assert 0.0 < a.metadata["kernel_check_err"] <= channel._NODE_TOL
             assert b.metadata["kernel_columns"] == n_cols and b.metadata["kernel_rows"] == n_rows
             assert b.metadata["kernel_check_err"] == 0.0
@@ -512,8 +512,7 @@ class TestNodeKernel:
     def test_positions_off_the_arc_plane(self, monkeypatch):
         # the chirp assumes receivers at y = 0, and the row phase is their
         # distance from the row axis; off that plane the checks either hold
-        # the node path, on node rows or not, to _NODE_TOL or send the sweep
-        # to the real columns
+        # the node rows to _NODE_TOL or send the sweep to the real columns
         geom = RisGeometry(40, 40, 0.02, 0.02)
         rng = np.random.default_rng(3)
         gamma = np.exp(1j * rng.uniform(-np.pi, np.pi, (40, 40)))
@@ -534,7 +533,7 @@ class TestNodeKernel:
             else:
                 paths.add("rows" if meta["kernel_rows"] < 40 else "columns")
                 assert np.max(np.abs(power - real)) <= channel._NODE_TOL * real.max()
-        assert paths == {"real", "columns", "rows"}
+        assert paths == {"real", "rows"}
 
     def test_failed_check_falls_back_bit_for_bit(self, monkeypatch):
         s = NODE_SCENARIOS["uadp4-2.3GHz-l8-45"]
@@ -546,26 +545,49 @@ class TestNodeKernel:
         assert fallback.metadata["kernel_check_err"] == 0.0
         assert np.array_equal(fallback.power, real.power)
 
-    def test_failed_row_ladder_runs_the_column_nodes(self, monkeypatch):
+    def test_failed_row_ladder_runs_the_real_columns(self, monkeypatch):
+        # no row count passes a check: the column nodes, which have passed
+        # theirs, do not run the sweep; the real columns do
         s = NODE_SCENARIOS["uadp4-2.3GHz-l8-45"]
-        (rows,) = _node_traces(s)
-        assert rows.metadata["kernel_rows"] < rows.metadata["grid"][0]
-        # no row count passes a check: the column nodes' sweep is returned
-        sweeps = []
         powers = channel._powers
 
         def no_rows(ill, w, pos, p_tx, chunk_elements=None, rows=None):
             if rows is not None:
                 return np.full(len(pos), np.nan)
-            sweeps.append(powers(ill, w, pos, p_tx, chunk_elements))
-            return sweeps[-1]
+            return powers(ill, w, pos, p_tx, chunk_elements)
 
         monkeypatch.setattr(channel, "_powers", no_rows)
-        (columns,) = _node_traces(s)
-        assert columns.metadata["kernel_rows"] == columns.metadata["grid"][0]
-        assert columns.metadata["kernel_columns"] == rows.metadata["kernel_columns"]
-        assert any(p is columns.power for p in sweeps)
-        assert np.max(np.abs(columns.power - rows.power)) <= 1e-10 * rows.power.max()
+        (fallback,) = _node_traces(s)
+        monkeypatch.setattr(channel, "_NODE_COUNTS", ())
+        (real,) = _node_traces(s)
+        assert fallback.metadata["kernel_columns"] == real.metadata["grid"][1]
+        assert fallback.metadata["kernel_rows"] == real.metadata["grid"][0]
+        assert fallback.metadata["kernel_check_err"] == 0.0
+        assert np.array_equal(fallback.power, real.power)
+
+    def test_checks_only_where_there_is_power(self, monkeypatch):
+        # the first counts pass: the real columns are evaluated at the
+        # middle before the ladder and at the peak and the two outer-quarter
+        # maxima after the sweep, never at the arc's ends (z = 0)
+        s = NODE_SCENARIOS["uacp-5.45GHz-l8-45"]
+        d = design_scenario(s, element_budget=None)
+        powers = channel._powers
+        full_grid = []
+
+        def spy(ill, w, pos, p_tx, chunk_elements=None, rows=None):
+            if rows is None and len(ill.y) == d.geometry.n_cols:
+                full_grid.append(pos)
+            return powers(ill, w, pos, p_tx, chunk_elements, rows)
+
+        monkeypatch.setattr(channel, "_powers", spy)
+        spec = SweepSpec(step=s.sweep_step, fixed_radius=d.rx_radius)
+        trace = sweep(d.geometry, s.wave, d.tx, d.config, spec)
+        assert (trace.metadata["kernel_columns"], trace.metadata["kernel_rows"]) == (4, 4)
+        checked = np.concatenate(full_grid)
+        assert [len(p) for p in full_grid] == [1, 3]
+        ends = rx_arc_position(d.rx_radius, np.array([-90.0, 90.0]))
+        assert not any(np.array_equal(p, e) for p in checked for e in ends)
+        assert np.array_equal(checked[0], rx_arc_position(d.rx_radius, 0.0))
 
     def test_rerun_bit_identical(self):
         s = NODE_SCENARIOS["omni3p6-near-45"]
@@ -580,13 +602,14 @@ class TestNodeKernel:
         # up to that
         geom = RisGeometry(40, 40, 0.02, 0.02)
         two_chunks = 2 * channel._chunk_shape(40, 40)[0]
-        columns = []
+        kernels = []
         for count in (two_chunks, two_chunks + 1):
             spec = SweepSpec(step=180.0 / (count - 1))
             assert len(spec.angles) == count
             trace = sweep(geom, Wave(10e9), Terminal((0.0, 0.0, 3.0)), np.ones((40, 40), complex), spec)
-            columns.append(trace.metadata["kernel_columns"])
-        assert columns[0] == 40 and columns[1] < 40
+            kernels.append((trace.metadata["kernel_columns"], trace.metadata["kernel_rows"]))
+        assert kernels[0] == (40, 40)
+        assert kernels[1][0] < 40 and kernels[1][1] < 40
 
     @pytest.mark.parametrize("r", [8, 9, 24])
     def test_basis_reproduces_polynomials(self, r):

@@ -104,7 +104,7 @@ class TestRunCommand:
         assert sorted(manifest["interference_kernels"]) == ["interference_-15deg.csv", "interference_-50deg.csv"]
         for kernel in [manifest, *manifest["interference_kernels"].values()]:
             assert 4 <= kernel["kernel_columns"] <= 30
-            assert kernel["kernel_columns"] <= kernel["kernel_rows"] <= 30
+            assert kernel["kernel_columns"] <= kernel["kernel_rows"] < 30
             assert 0.0 < kernel["kernel_check_err"] <= 1e-10
         assert manifest["step_deg"] == pytest.approx(180.0 / 257, rel=1e-12)
 
@@ -348,6 +348,24 @@ class TestAlphabetCommand:
         path.write_text("amplitude,phase,control\n0.5,10\n")
         assert main(["alphabet", f"file:{path}"]) == 2
         assert "line 2" in single_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "row, named",
+        [("0.9,nan,1.0", "phase"), ("0.9,inf,1.0", "phase"), ("0.9,10,nan", "control")],
+        ids=["nan-phase", "inf-phase", "nan-control"],
+    )
+    def test_non_finite_row_exit_2(self, tmp_path, capsys, row, named):
+        # loaded, such a row makes `run` write an all-nan trace and
+        # `alphabet` print a nan centroid
+        path = tmp_path / "a.csv"
+        path.write_text(f"amplitude,phase,control\n1.0,0,0.0\n{row}\n")
+        scenario = tmp_path / "s.ini"
+        scenario.write_text(f"[scenario]\nalphabet = file:{path}\ncriterion = uaep\nfrequency_ghz = 2.3\n")
+        for args in (["alphabet", f"file:{path}"], ["run", str(scenario), "--out", str(tmp_path / "o")]):
+            assert main(args) == 2
+            err = single_error_line(capsys)
+            assert "line 3" in err and named in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestColormap:
