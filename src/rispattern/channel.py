@@ -16,12 +16,34 @@ for the designer.  `_received_powers`, behind the pattern sweeps, folds
 gamma, the tx side, both pitches and 1/(4*pi)^2 into one complex weight per
 element and keeps the per-angle work real: the amplitude, both sinc factors
 and the phase come from real arrays, and two real matrix products against
-the (2 x N*M) weight matrix reduce over the elements.  Sines and cosines
+the real pair of weights reduce over the elements.  Sines and cosines
 come from one tangent each, through sin(2u) = 2 tan(u) / (1 + tan(u)^2) and
 cos(2u) = (1 - tan(u)^2) / (1 + tan(u)^2), within about one unit in the
 last place.  numpy 2 on x86-64 has a SIMD float64 tan but evaluates float64
 sin and cos element by element: about 2 ns against 13-33 ns per element on
 an AVX-512 Xeon.
+
+When the transmitter and every receiver lie in the xz-plane (y = 0), as
+every scenario's terminals and sweep arcs do, the rx factor K(x_n, y_m) is
+even in y: the columns are centered, so y_(M-1-m) = -y_m exactly; the
+distance, the obliquity and the phase depend on y only through y^2; and
+both sinc arguments are odd in y, their sinc even.  So
+
+    sum_m w_m K(y_m) = sum_(m < M/2) (w_m + w_(M-1-m)) K(y_m),
+
+plus the middle column once for an odd M, and `_columns` gives the kernel
+only the first ceil(M/2) columns.  The tx factor is even in y too, so the
+sweep's weights are `_fold`(gamma) times the tx factor on those columns:
+the weights and the tx-side terms take half the memory, and each kernel
+point of the real columns stands for two elements.  The Chebyshev nodes
+below span the columns symmetrically, so they lie in mirror pairs, and the
+chirp D is even: the (M x r) basis C folds the same way to
+(ceil(M/2) x r/2), and the node sweeps and their checks run on r/2 node
+columns.  `ChannelPair.compute` evaluates g and h on the first ceil(M/2)
+columns and mirrors them into the others.  At y and -y the kernel works
+on numbers that differ only in sign, through squares and tan(h) / h, so
+the full grid's factors there are equal bit for bit, and so are g and h.
+A terminal off the plane takes all M columns.
 
 A sweep does not need the rx factor at every column.  For a fixed element
 row n and a receiver on an arc of radius R at y = 0, K_n(y) = sinc_x sinc_y
@@ -94,12 +116,13 @@ arc 12 x 12 on 48^2 and 72^2.
 Memory is bounded whatever the grid: a sweep is processed in chunks of
 angles (of element rows at one angle, when one angle over the whole grid is
 too big) whose live temporaries stay within `_CHUNK_BUDGET` bytes, so a
-sweep needs that budget plus O(N*M) for the weights and tx-side terms.  The
-budget is small enough that a chunk stays in a core's cache, which is faster
-than fewer, larger chunks.  The chunks run in order, each writes only its
-own slice of the output, its partial sums over element rows are added in a
-fixed order, and the chunking depends only on the grid shape, so reruns are
-bit for bit identical.
+sweep needs that budget plus O(N*ceil(M/2)) for the weights and tx-side
+terms (O(N*M) off the xz-plane).  The budget is small enough that a chunk
+stays in a core's cache, which is faster than fewer, larger chunks.  The
+chunks run in order, each writes only its own slice of the output, its
+partial sums over element rows are added in a fixed order, and the
+chunking depends only on the grid shape, so reruns are bit for bit
+identical.
 """
 
 from __future__ import annotations
@@ -278,6 +301,14 @@ def _chunk_shape(n_rows: int, n_cols: int, chunk_elements: int | None = None) ->
     return angles, grid_rows
 
 
+def _columns(geom: RisGeometry, terminal_y: np.ndarray) -> np.ndarray:
+    """The column centers that the kernel is evaluated on: the first
+    ceil(M/2) if every terminal lies at y = 0, where K is even in y (module
+    docstring), or else all M."""
+    y = geom.y_centers
+    return y if np.any(terminal_y) else y[: (len(y) + 1) // 2]
+
+
 def _row_distances(pos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Distances rho (A, len(x)) from the A positions pos (A, 3) to the
     points (x, 0, 0) of the row axis."""
@@ -387,16 +418,31 @@ def _chebyshev_basis(y: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, basis
 
 
+def _fold(a: np.ndarray) -> np.ndarray:
+    """The first ceil(M/2) of the M entries of a's last axis, each plus its
+    mirror entry M-1-m; the middle entry of an odd M is taken once."""
+    m = a.shape[-1]
+    half = a[..., : (m + 1) // 2].copy()
+    half[..., : m // 2] += a[..., ::-1][..., : m // 2]
+    return half
+
+
 def _node_weights(w: np.ndarray, y: np.ndarray, r: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
     """r Chebyshev nodes spanning the columns y and the node weights
     b = w @ C of the module docstring, for the chirp D(y) = exp(-j rate y^2),
     as a (2, N, r) real pair; w is the (2, N, M) real pair of weights.
 
     D and conj(D) at the nodes are folded into the (M, r) basis C, so b
-    comes from four real products and no complex copy of w is made.
+    comes from four real products and no complex copy of w is made.  If w
+    holds only the first ceil(M/2) columns, folded by `_fold`, C is folded
+    the same way, in its nodes as well (they lie in mirror pairs), and only
+    the first ceil(r/2) nodes and their weights are returned.
     """
     nodes, basis = _chebyshev_basis(y, r)
     chirp = np.exp(-1j * rate * y * y)[:, None] * basis * np.exp(1j * rate * nodes * nodes)
+    if w.shape[-1] < len(y):
+        chirp = _fold(chirp[: w.shape[-1]])
+        nodes = nodes[: chirp.shape[1]]
     re, im = chirp.real, chirp.imag
     return nodes, np.stack([w[0] @ re - w[1] @ im, w[0] @ im + w[1] @ re])
 
@@ -453,7 +499,7 @@ def _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, meta):
     # every element row's rx factor shares
     rate = wave.wavenumber / (2.0 * np.linalg.norm(rx_positions[0]))
     for r in counts:
-        nodes, node_w = _node_weights(w, ill.y, r, rate)
+        nodes, node_w = _node_weights(w, geom.y_centers, r, rate)
         node_ill = _illuminate(geom, wave, tx, ill.x, nodes)
         # the column nodes only gate the count's row ladder
         if not passes(partial(_powers, node_ill, node_w, p_tx=p_tx, chunk_elements=chunk_elements)):
@@ -492,14 +538,19 @@ def _received_powers(
     receives kernel_columns, the column node count or n_cols for the real
     columns, kernel_rows, the row node count or n_rows, and
     kernel_check_err, the worst checked error as a share of the largest
-    checked power (0.0 for the real columns).
+    checked power (0.0 for the real columns).  If the transmitter and every
+    position lie at y = 0, all of it runs on the first ceil(M/2) columns
+    with the weights folded (module docstring); the counts and the
+    two-chunk rule are those of the full grid.
     """
     meta = {} if meta is None else meta
     meta.update(kernel_columns=geom.n_cols, kernel_rows=geom.n_rows, kernel_check_err=0.0)
-    ill = _illuminate(geom, wave, tx, geom.x_centers, geom.y_centers)
-    weight = gamma * (ill.re - 2j * ill.im_half) * (geom.pitch_x * geom.pitch_y / FOUR_PI**2)
+    y = _columns(geom, np.append(rx_positions[:, 1], tx.position[1]))
+    ill = _illuminate(geom, wave, tx, geom.x_centers, y)
+    gamma_y = _fold(gamma) if len(y) < geom.n_cols else gamma
+    weight = gamma_y * (ill.re - 2j * ill.im_half) * (geom.pitch_x * geom.pitch_y / FOUR_PI**2)
     w = np.stack([weight.real, weight.imag])
-    del weight  # only the real pair stays alive while the sweep runs
+    del gamma_y, weight  # only the real pair stays alive while the sweep runs
     if len(rx_positions) > 2 * _chunk_shape(geom.n_rows, geom.n_cols)[0]:
         power = _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, meta)
         if power is not None:
@@ -517,13 +568,15 @@ class ChannelPair:
 
     @classmethod
     def compute(cls, geom: RisGeometry, wave: Wave, tx: Terminal, rx: Terminal):
-        ill = _illuminate(geom, wave, tx, geom.x_centers, geom.y_centers)
+        y = _columns(geom, np.array([tx.position[1], rx.position[1]]))
+        ill = _illuminate(geom, wave, tx, geom.x_centers, y)
         sinc_x, re, im_half = _rx_terms(ill, np.array([rx.position]))
-        return cls(
-            g=(ill.re - 2j * ill.im_half) * sinc_x[0] * (geom.pitch_x / FOUR_PI),
-            h=(re[0] - 2j * im_half[0]) * (geom.pitch_y / FOUR_PI),
-            geometry=geom,
-        )
+        g = (ill.re - 2j * ill.im_half) * sinc_x[0] * (geom.pitch_x / FOUR_PI)
+        h = (re[0] - 2j * im_half[0]) * (geom.pitch_y / FOUR_PI)
+        if len(y) < geom.n_cols:
+            # column M-1-m is column m (module docstring)
+            g, h = (np.concatenate([a, a[:, : geom.n_cols // 2][:, ::-1]], axis=1) for a in (g, h))
+        return cls(g=g, h=h, geometry=geom)
 
 
 def received_power(pair: ChannelPair, config, p_tx: float = 1.0) -> float:

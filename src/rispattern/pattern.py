@@ -8,10 +8,15 @@ configuration under an off-nominal transmitter doubles as the interference
 study.
 
 Every sweep point comes from the same per-element kernel that builds
-`ChannelPair` (see the channel module).  A sweep of more than two chunks
-takes the arc's Fresnel chirp and each position's exact distance from the
-row axis out of the phase, and evaluates the rest on a few Chebyshev node
-rows and columns instead of on every element.  A column count's node rows
+`ChannelPair` (see the channel module).  The arc lies in the xz-plane,
+and so does every transmitter that a scenario places.  With the
+transmitter there too, the kernel is even in the column coordinate y, so
+it runs on the first half of the columns only, each weighted by the sum of
+its own and its mirror column's weights; the node counts below are still
+those of the full grid.  A sweep of more than two chunks takes the arc's
+Fresnel chirp and each position's exact distance from the row axis out of
+the phase, and evaluates the rest on a few Chebyshev node rows and columns
+instead of on every element.  A column count's node rows
 are tried only once its node columns over all rows match the real columns
 at the middle angle; the ends of the arc lie in the surface's plane and
 see no power, so they are not checked.  The sweep on node rows is then
@@ -25,7 +30,8 @@ column count), `kernel_rows` (the row node count, or the row count),
 a spot check of the trace, not a bound on it) and `step_deg`, the angular
 step actually used.  The kernel works through the angles in chunks whose
 temporaries stay within a fixed byte budget, so a sweep's peak memory is
-that budget plus O(N*M) whatever the grid; reruns repeat bit for bit.
+that budget plus O(N*M) whatever the grid (per-element weights, half as
+many on the xz-plane); reruns repeat bit for bit.
 """
 
 from __future__ import annotations

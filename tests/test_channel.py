@@ -17,6 +17,7 @@ from rispattern import (
     Wave,
     builtin,
     design_scenario,
+    far_field_radius,
     interference_study,
     received_power,
     rx_arc_position,
@@ -269,6 +270,72 @@ class TestFieldKernel:
         assert np.max(np.abs(got - want)) <= 1e-12 * max(want)
 
 
+class TestMirrorFold:
+    """With every terminal at y = 0 the kernel runs on the first ceil(M/2)
+    columns; off that plane on all M."""
+
+    wave = Wave(10e9)
+
+    def gamma(self, geom):
+        rng = np.random.default_rng(17)
+        return np.exp(1j * rng.uniform(-np.pi, np.pi, (geom.n_rows, geom.n_cols)))
+
+    @pytest.mark.parametrize("shape", [(24, 24), (25, 25), (9, 14)], ids=["24x24", "25x25", "9x14"])
+    @pytest.mark.parametrize("rx_radius, rx_angle", [(None, 35.0), (0.5, -60.0)], ids=["far", "near"])
+    def test_channel_pair_is_the_full_grid(self, shape, rx_radius, rx_angle):
+        geom = RisGeometry(*shape, 0.012, 0.012)
+        radius = far_field_radius(geom, self.wave)
+        tx = Terminal(rx_arc_position(radius, -20.0))
+        rx = Terminal(rx_arc_position(rx_radius or radius, rx_angle))
+        pair = ChannelPair.compute(geom, self.wave, tx, rx)
+        ill = channel._illuminate(geom, self.wave, tx, geom.x_centers, geom.y_centers)
+        sinc_x, re, im_half = channel._rx_terms(ill, np.array([rx.position]))
+        assert np.array_equal(pair.g, (ill.re - 2j * ill.im_half) * sinc_x[0] * (geom.pitch_x / FOUR_PI))
+        assert np.array_equal(pair.h, (re[0] - 2j * im_half[0]) * (geom.pitch_y / FOUR_PI))
+
+    @pytest.mark.parametrize(
+        "n_cols, angles, kernel",
+        [(40, 61, (40, 40)), (41, 61, (41, 40)), (40, 181, (12, 12)), (41, 181, (12, 12))],
+        ids=["even-real", "odd-real", "even-nodes", "odd-nodes"],
+    )
+    def test_sweep_matches_the_unfolded_columns(self, monkeypatch, n_cols, angles, kernel):
+        geom = RisGeometry(40, n_cols, 0.02, 0.02)
+        tx = Terminal(rx_arc_position(3.0, 15.0))
+        positions = rx_arc_position(5.0, np.linspace(-90.0, 90.0, angles))
+        gamma = self.gamma(geom)
+        meta, unfolded_meta = {}, {}
+        power = channel._received_powers(geom, self.wave, tx, gamma, positions, 1.0, meta)
+        # unfolded: all M columns, the weights of each column and r node
+        # columns; both take the same counts
+        monkeypatch.setattr(channel, "_columns", lambda geom, terminal_y: geom.y_centers)
+        unfolded = channel._received_powers(geom, self.wave, tx, gamma, positions, 1.0, unfolded_meta)
+        for m in (meta, unfolded_meta):
+            assert (m["kernel_columns"], m["kernel_rows"]) == kernel
+        assert np.max(np.abs(power - unfolded)) <= 1e-13 * unfolded.max()
+
+    @pytest.mark.parametrize("tx_y, rx_y", [(0.1, 0.0), (0.0, 1e-3)], ids=["tx-off-plane", "rx-off-plane"])
+    def test_off_the_plane_all_columns(self, monkeypatch, tx_y, rx_y):
+        geom = RisGeometry(9, 14, 0.02, 0.02)
+        tx = Terminal((0.3, tx_y, 2.0))
+        positions = rx_arc_position(1.5, np.linspace(-80.0, 80.0, 17))
+        positions[5, 1] = rx_y
+        gamma = self.gamma(geom)
+        illuminate = channel._illuminate
+        columns = []
+
+        def spy(geom, wave, tx, x, y):
+            columns.append(len(y))
+            return illuminate(geom, wave, tx, x, y)
+
+        monkeypatch.setattr(channel, "_illuminate", spy)
+        power = channel._received_powers(geom, self.wave, tx, gamma, positions, 1.0)
+        assert columns == [14]
+        ChannelPair.compute(geom, self.wave, tx, Terminal(positions[5]))
+        assert columns == [14, 14]
+        want = [received_power(ChannelPair.compute(geom, self.wave, tx, Terminal(p)), gamma) for p in positions]
+        assert np.max(np.abs(power - want)) <= 1e-12 * max(want)
+
+
 class TestChunking:
     geom = RisGeometry(12, 9, 0.02, 0.02)
     wave = Wave(10e9)
@@ -350,23 +417,44 @@ class TestChunking:
 
     def test_blocks_of_grid_rows_live_one_at_a_time(self, monkeypatch):
         # a real-column sweep whose chunks are one angle over 20 of the 40
-        # element rows: a block's kernel arrays must be freed before the
-        # next block's are made, or the peak grows by about one block
+        # element rows of the 200 folded columns: a block's kernel arrays
+        # must be freed before the next block's are made, or the kernel's
+        # peak grows by more than half a block
         geom = RisGeometry(40, 400, 0.02, 0.02)
-        block = channel._BYTES_PER_ELEMENT_ANGLE * 20 * geom.n_cols
+        block = channel._BYTES_PER_ELEMENT_ANGLE * 20 * 200
         monkeypatch.setattr(channel, "_CHUNK_BUDGET", block)
         monkeypatch.setattr(channel, "_NODE_COUNTS", ())
-        assert channel._chunk_shape(geom.n_rows, geom.n_cols) == (1, 20)
+        assert channel._chunk_shape(geom.n_rows, 200) == (1, 20)
+        rows, powers = channel._Illumination.rows, channel._powers
+        blocks, peaks, kernel_peaks = [], [], []
+
+        def rows_spy(ill, sl):
+            blocks.append((sl, len(ill.y)))
+            return rows(ill, sl)
+
+        def powers_spy(*args, **kwargs):
+            # the peak so far, then the kernel's own growth over its start
+            start, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)
+            tracemalloc.reset_peak()
+            out = powers(*args, **kwargs)
+            kernel_peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+
+        monkeypatch.setattr(channel._Illumination, "rows", rows_spy)
+        monkeypatch.setattr(channel, "_powers", powers_spy)
         gamma = np.ones((40, 400), complex)
         tx = Terminal((0.0, 0.0, 3.0))
         tracemalloc.start()
         try:
             trace = sweep(geom, self.wave, tx, gamma, SweepSpec(step=30.0))
-            _, peak = tracemalloc.get_traced_memory()
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert trace.metadata["kernel_columns"] == geom.n_cols
-        assert peak <= block + 7 * 8 * geom.n_elements
+        assert blocks == [(slice(0, 20), 200), (slice(20, 40), 200)]
+        assert max(peaks) <= block + 7 * 8 * geom.n_elements
+        assert kernel_peaks[0] <= 1.5 * block
 
 
 def _far(criterion, target, pitch_divisor, frequency, aperture=1.0, **kw):
@@ -566,16 +654,17 @@ class TestNodeKernel:
         assert np.array_equal(fallback.power, real.power)
 
     def test_checks_only_where_there_is_power(self, monkeypatch):
-        # the first counts pass: the real columns are evaluated at the
-        # middle before the ladder and at the peak and the two outer-quarter
-        # maxima after the sweep, never at the arc's ends (z = 0)
+        # the first counts pass: the real columns, folded to the first
+        # ceil(M/2), are evaluated at the middle before the ladder and at
+        # the peak and the two outer-quarter maxima after the sweep, never
+        # at the arc's ends (z = 0)
         s = NODE_SCENARIOS["uacp-5.45GHz-l8-45"]
         d = design_scenario(s, element_budget=None)
         powers = channel._powers
         full_grid = []
 
         def spy(ill, w, pos, p_tx, chunk_elements=None, rows=None):
-            if rows is None and len(ill.y) == d.geometry.n_cols:
+            if rows is None and len(ill.y) == (d.geometry.n_cols + 1) // 2:
                 full_grid.append(pos)
             return powers(ill, w, pos, p_tx, chunk_elements, rows)
 
