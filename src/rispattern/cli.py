@@ -153,6 +153,14 @@ def cmd_run(args) -> int:
             for name, trace in zip(names, result.interference_traces)
         },
     }
+    if result.report is not None:
+        report = result.report
+        manifest["optimizer"] = {
+            "iterations": report.iterations,
+            "converged": report.converged,
+            "updates_per_sweep": report.updates_per_sweep,
+            "coordinatewise_optimal": report.coordinatewise_optimal,
+        }
     _atomic_write(
         os.path.join(args.out, "manifest.json"),
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",

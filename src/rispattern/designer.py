@@ -6,38 +6,65 @@ each one the alphabet entry that maximizes the exact quadratic objective
 against the field sum of all other elements, changing it only on a strict
 improvement, ties to the lowest index.  The field total moves only when an
 element changes, and it is recomputed from scratch at the end of each sweep.
+The walk of one element at a time that this describes is the reference;
+the optimizer reaches its decisions with less work, in three ways.
 
 Most visits change nothing, and the optimizer proves that rather than
 scoring them: a certified-skip scan.  Element i, holding entry m, improves
 only if its margin (the best alternative's score minus the current score)
 is positive.  When the total moves by Delta, that margin moves by at most
 c_i |Delta|, with c_i = 2 |g_i h_i| max_l |v_l - v_m|.  A round starts at an
-element with total T0 and computes the margins of the next _WINDOW elements
-in one vectorized step.  An element whose margin + c_i D + allowance is
-negative cannot improve while |T - T0| <= D, the round's drift budget of
-_DRIFT_STEPS typical single-update moves, so it is skipped unscored.  The
-others are rescored exactly, in order, against the current total.  An
-update that takes |T - T0| past D ends the round, and the next one starts
-just after that element.  If more than a quarter of a window are
-candidates, as in a first sweep, the round rescores all of it and the
-budget does not apply.
+element with total T0 and scores the next _WINDOW elements against T0 with
+one matrix product, the (L x 3) coefficients of each entry's score times
+each element's [|gh|^2, Re q, Im q], q = gh conj(alpha).  An element whose
+margin + c_i D + allowance is negative cannot improve while |T - T0| <= D,
+the round's drift budget of _DRIFT_STEPS typical single-update moves, so it
+is skipped unscored.  The others are rescored exactly, in order, against
+the current total, but the walk still skips one unscored if its margin +
+c_i delta + allowance is negative at the drift delta = |T - T0| <= D that
+it has reached.  An update that takes the drift past D ends the round, and
+the next one starts just after that element.
 
-Why this is exact.  The allowance,
-_ROUNDING * (max|v|^2 |gh_i|^2 + 2 |gh_i| max|v| (|T| + |t_i|)), exceeds
-twice the rounding error of any computed margin, whatever the evaluation
-order, so an element skipped here could not have shown an improvement to a
-scan that scored it.  A rescore uses Python floats, while numpy's array
-complex multiply may use fused multiply-adds and round differently.  So
-when the best two scores lie within the allowance, the decision is taken
-again with the block scan's numpy expression, rounded as numpy rounds it.
-The total moves by Python complex products, which round like numpy's
-scalar ones: both use the four-multiply formula without fused operations.
+If more than a quarter of a window are candidates, as in a first sweep, the
+round is dense: the budget does not apply, and fixpoint passes take the
+round instead of the walk.  A pass guesses every decision (the first pass
+takes those at T0), forms the totals the walk would see if the guesses
+held, and decides every element at its total.  The totals are the running
+sums of [T0, -t_1, p_1, -t_2, p_2, ...] over the guessed updates:
+np.add.accumulate adds strictly in order, as the walk does, and the
+products p = gh v come from real multiplies, rounded as Python's complex
+product rounds them, so each sum is the walk's total bit for bit.  Up to
+the first decision that differs from its guess, every element saw the
+walk's own total, so that prefix, the differing decision included, is the
+walk's result.  The pass commits it, and the next pass starts after it from
+the new decisions.  A pass costs about as much as walking ten elements, so
+the round walks the rest once fewer than _FIXPOINT_MIN elements are left or
+after _FIXPOINT_PASSES passes: a dense round costs at most that many passes
+more than the walk, even when every update changes the next decision.
+
+Why this is exact.  The allowance is _ROUNDING (64 epsilon) times
+S_i = max|v|^2 |gh_i|^2 + 2 |gh_i| max|v| (|T| + |t_i|), which bounds the
+terms of element i's scores at total T.  A computed score, however its
+three products and the complex product q inside it are ordered or fused,
+lies within 5 epsilon S_i of the exact one, so two computations of a score
+difference differ by at most 20 epsilon S_i, under a third of the
+allowance.  So an element skipped here could not have shown an improvement
+to a scan that scored it, and a decision whose best two scores lie more
+than the allowance apart names the same entry however they were rounded:
+the walk's Python floats, the matrix product of a fixpoint pass, numpy's
+array complex multiply (which may use fused multiply-adds) all agree.  When
+the best two lie within the allowance, the walk and the fixpoint both take
+the decision with the block scan's numpy expression at the element's exact
+alpha, rounded as numpy rounds it.  The total moves by Python complex
+products, which round like numpy's scalar ones and like a pass's real
+products: all use the four-multiply formula without fused operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -74,6 +101,7 @@ class OptimizerReport:
     objective_trace: list[float]
     converged: bool
     updates_per_sweep: list[int]
+    coordinatewise_optimal: bool
 
     @property
     def element_update_count(self) -> int:
@@ -85,10 +113,14 @@ class OptimizerReport:
 _MAX_SWEEPS = 100
 
 # The certified-skip scan (module docstring): elements per round, the drift
-# budget in typical single-update moves, and the rounding allowance factor.
+# budget in typical single-update moves, the rounding allowance factor, the
+# fixpoint passes a dense round may take and the fewest elements a pass
+# takes on.
 _WINDOW = 512
 _DRIFT_STEPS = 4.0
 _ROUNDING = 64 * np.finfo(float).eps
+_FIXPOINT_PASSES = 8
+_FIXPOINT_MIN = 64
 _ROWS = np.arange(_WINDOW)
 _NEG = -math.inf
 
@@ -153,6 +185,208 @@ def design_diffuser(geom: RisGeometry, seed: int = 0) -> SurfaceConfig:
     return SurfaceConfig(np.exp(1j * phases), DesignCriterion.diffuser(seed))
 
 
+class _Scan:
+    """The certified-skip scan of one optimizer run (module docstring): the
+    design's constants, the current sweep's terms, and the indices, which
+    it updates in place."""
+
+    def __init__(self, gh: np.ndarray, values: np.ndarray, idx: np.ndarray):
+        self.gh, self.values, self.idx = gh, values, idx
+        self.values_list = values.tolist()
+        self.value_abs2 = np.abs(values) ** 2
+        self.gh_abs2 = np.abs(gh) ** 2
+        self.g_abs = np.abs(gh)
+        # spread[m] = max_l |v_l - v_m| bounds how fast the score differences
+        # of an element holding entry m move with the total; the drift budget
+        # is a few typical single-update steps
+        self.spread = np.array([np.abs(values - v).max() for v in values])
+        self.budget = _DRIFT_STEPS * float(np.mean(self.g_abs)) * float(self.spread.max())
+        # rounding allowance = fixed |gh|^2 + slope (|total| + |term|)
+        v_max = float(np.abs(values).max())
+        self.fixed = _ROUNDING * v_max**2
+        self.slope = (_ROUNDING * 2.0 * v_max) * self.g_abs
+        # score_l = |v_l|^2 |gh|^2 + 2 Re(v_l q) with q = gh conj(alpha): each
+        # entry's coefficients of |gh|^2, Re q and Im q, and a window's rows
+        # [|gh|^2, Re q, Im q] for scores() to multiply them with
+        self.coef = np.stack([self.value_abs2, 2.0 * values.real, -2.0 * values.imag], axis=1)
+        self.entries = self.coef.tolist()
+        self.x = np.empty((_WINDOW, 3))
+
+    def ascend(self) -> tuple[list[float], list[int], bool]:
+        """Sweep until a sweep changes no element, or for _MAX_SWEEPS
+        sweeps: returns the objective trace, the updates per sweep and
+        whether the last sweep changed nothing."""
+        total = self.new_sweep()
+        trace = [abs(total) ** 2]
+        updates_per_sweep = []
+        for _ in range(_MAX_SWEEPS):
+            updates = 0
+            now = complex(total)
+            start = 0
+            while start < self.idx.size:
+                start, now, count = self.round(start, now)
+                updates += count
+            updates_per_sweep.append(updates)
+            total = self.new_sweep()
+            trace.append(abs(total) ** 2)
+            if not updates:
+                return trace, updates_per_sweep, True
+        return trace, updates_per_sweep, False
+
+    def new_sweep(self) -> complex:
+        """Recompute every term from the indices, which caps incremental
+        rounding drift, and set what stays fixed within a sweep, as a round
+        only reaches elements not yet visited: each element's allowance and
+        k.  Returns the total."""
+        # gh * gamma, not gh * values[idx]: numpy may compute a product with
+        # a large temporary in place with the operands swapped, and its fused
+        # complex multiply rounds differently with them swapped
+        gamma = self.values[self.idx]
+        self.terms = self.gh * gamma
+        self.allow = self.fixed * self.gh_abs2 + self.slope * np.abs(self.terms)
+        # margin + allowance at |T0| + k delta bounds the margin anywhere
+        # within delta of T0: k = c_i + slope, c_i = 2 |gh_i| spread[m]
+        self.k = 2.0 * self.g_abs * self.spread[self.idx] + self.slope
+        return np.sum(self.terms)
+
+    def scores(self, w: slice, alpha: np.ndarray) -> np.ndarray:
+        """Every entry's score for the elements of window w at the given
+        alphas, (L x elements), from one matrix product."""
+        x = self.x[: alpha.size]
+        x[:, 0] = self.gh_abs2[w]
+        x[:, 1:] = (self.gh[w] * alpha.conj()).view(float).reshape(-1, 2)
+        return self.coef @ x.T
+
+    def round(self, start: int, now: complex) -> tuple[int, complex, int]:
+        """One round from element `start` at total `now`.  Returns where
+        the next round starts, the total and the number of updates."""
+        stop = min(start + _WINDOW, self.idx.size)
+        w = slice(start, stop)
+        rows = _ROWS[: stop - start]
+        cur = self.idx[w]
+        scores = self.scores(w, now - self.terms[w])
+        own = scores[cur, rows]
+        scores[cur, rows] = _NEG
+        margin = scores.max(0) - own
+        base = margin + self.allow[w] + self.slope[w] * abs(now)
+        cand = np.flatnonzero(base + self.k[w] * self.budget >= 0)
+        if 4 * cand.size > stop - start:
+            guess = np.where(margin > 0, scores.argmax(0), cur)
+            now, updates = self.settle(start, stop, now, guess)
+            return stop, now, updates
+        return self.walk(cand + start, now, base[cand].tolist(), self.budget, stop)
+
+    def walk(self, cand: np.ndarray, now: complex, base, limit: float, stop: int) -> tuple[int, complex, int]:
+        """Rescore the candidates in order with Python floats, each against
+        the current total.  One is skipped unscored while base + k drift < 0,
+        drift = |now - origin|; an update that takes the drift past `limit`
+        ends the round after it.  Returns as round() does."""
+        idx, entries, values_list = self.idx, self.entries, self.values_list
+        origin = now
+        size = abs(now)
+        drift = 0.0
+        updates = 0
+        for j, current, t_j, gh_j, g2_j, tol, slope_j, base_j, k_j in zip(
+            cand.tolist(),
+            idx[cand].tolist(),
+            self.terms[cand].tolist(),
+            self.gh[cand].tolist(),
+            self.gh_abs2[cand].tolist(),
+            self.allow[cand].tolist(),
+            self.slope[cand].tolist(),
+            base,
+            self.k[cand].tolist(),
+        ):
+            if base_j + k_j * drift < 0:
+                continue
+            alpha = now - t_j
+            q = gh_j * alpha.conjugate()
+            qr, qi = q.real, q.imag
+            s = [a * g2_j + (r * qr + i * qi) for a, r, i in entries]
+            top = max(s)
+            best = s.index(top)
+            s[best] = _NEG
+            if max(s) >= top - tol - slope_j * size:
+                best = self.tie_break(j, alpha, current)
+            if best == current:
+                continue
+            idx[j] = best
+            now = alpha + gh_j * values_list[best]
+            size = abs(now)
+            updates += 1
+            drift = abs(now - origin)
+            if drift > limit:
+                return j + 1, now, updates
+        return stop, now, updates
+
+    def tie_break(self, j: int, alpha: complex, current: int) -> int:
+        """Element j's decision at alpha from the block expression, rounded
+        as numpy rounds it: for best two scores within the allowance."""
+        values = self.values
+        exact = self.value_abs2 * self.gh_abs2[j] + 2.0 * (values * self.gh[j] * np.conj(alpha)).real
+        return int(np.argmax(exact)) if exact.max() > exact[current] else current
+
+    def settle(self, start: int, stop: int, now: complex, guess: np.ndarray) -> tuple[complex, int]:
+        """A dense round by fixpoint passes from the guessed decisions, each
+        committing the elements up to its first changed decision.  After
+        _FIXPOINT_PASSES passes, or once fewer than _FIXPOINT_MIN elements
+        are left, the rest is walked.  Returns the total and the updates."""
+        updates = 0
+        for _ in range(_FIXPOINT_PASSES):
+            if stop - start < _FIXPOINT_MIN:
+                break
+            decided, end, alpha = self.redecide(start, stop, now, guess)
+            n = end - start
+            changed = np.flatnonzero(decided[:n] != self.idx[start:end])
+            if changed.size:
+                self.idx[start:end] = decided[:n]
+                u = int(changed[-1])
+                now = complex(alpha[u]) + self.gh[start + u].item() * self.values_list[decided[u]]
+                updates += changed.size
+            if end == stop:
+                return now, updates
+            start, guess = end, decided[n:]
+        _, now, walked = self.walk(_ROWS[: stop - start] + start, now, repeat(math.inf), math.inf, stop)
+        return now, updates + walked
+
+    def redecide(self, start: int, stop: int, now: complex, guess: np.ndarray):
+        """One fixpoint pass over elements start..stop-1 from total `now`:
+        each element is decided at the total the walk would give it if every
+        earlier element took its guessed decision.  Returns the decisions,
+        the end of the prefix that is certain (it ends just after the first
+        decision that differs from the guess) and each element's alpha."""
+        w = slice(start, stop)
+        rows = _ROWS[: stop - start]
+        upd = np.flatnonzero(guess != self.idx[w])
+        j = upd + start
+        # the totals after each guessed update, [T0, -t_1, p_1, -t_2, p_2, ...]
+        # added in order; p = gh v from real products, as Python forms it
+        seq = np.empty(2 * upd.size + 1, dtype=complex)
+        seq[0] = now
+        np.negative(self.terms[j], out=seq[1::2])
+        g, v = self.gh[j], self.values[guess[upd]]
+        p = seq[2::2]
+        p.real = g.real * v.real - g.imag * v.imag
+        p.imag = g.real * v.imag + g.imag * v.real
+        np.add.accumulate(seq, out=seq)
+        totals = seq[2 * np.searchsorted(upd, rows)]
+        alpha = totals - self.terms[w]
+        scores = self.scores(w, alpha)
+        decided = scores.argmax(0)
+        gap = scores[decided, rows]
+        scores[decided, rows] = _NEG
+        gap -= scores.max(0)
+        tie = gap <= self.allow[w] + self.slope[w] * np.abs(totals)
+        first = stop - start - 1
+        for r in np.flatnonzero((decided != guess) | tie).tolist():
+            if tie[r]:
+                decided[r] = self.tie_break(start + r, complex(alpha[r]), int(self.idx[start + r]))
+            if decided[r] != guess[r]:
+                first = r
+                break
+        return decided, start + first + 1, alpha
+
+
 def optimize_alternating(
     pair: ChannelPair,
     alphabet: Alphabet,
@@ -168,117 +402,22 @@ def optimize_alternating(
     no element (converged=True), or after _MAX_SWEEPS (100) sweeps
     (converged=False, best-so-far returned).
     Coordinate ascent is a local method: the output is coordinate-wise
-    optimal, not necessarily the global optimum.
+    optimal, not necessarily the global optimum.  The report's
+    coordinatewise_optimal checks that with is_coordinatewise_optimal after
+    the last sweep.
     """
     values = alphabet.values
-    value_abs2 = np.abs(values) ** 2
-    gh = (pair.g * pair.h).ravel()
-    gh_abs2 = np.abs(gh) ** 2
-    n_el = gh.size
-
     if init is not None:
         if init.alphabet_indices is None:
             raise ValueError("initial config must carry alphabet indices")
         idx = init.alphabet_indices.ravel().copy()
     else:
-        idx = np.zeros(n_el, dtype=int)
-
-    # gh * gamma, not gh * values[idx]: numpy may compute a product with a
-    # large temporary in place with the operands swapped, and its fused
-    # complex multiply rounds differently with them swapped
-    gamma = values[idx]
-    terms = gh * gamma
-    total = np.sum(terms)
-
-    # The skip test's constants.  spread[m] = max_l |v_l - v_m| bounds how
-    # fast the score differences of an element holding entry m move with the
-    # total; the drift budget is a few typical single-update steps.
-    v_max = float(np.abs(values).max())
-    spread = np.array([np.abs(values - v).max() for v in values])
-    budget = _DRIFT_STEPS * float(np.mean(np.abs(gh))) * float(spread.max())
-    # rounding allowance = fixed |gh|^2 + per_total |gh| (|total| + |term|)
-    fixed = _ROUNDING * v_max**2
-    per_total = _ROUNDING * 2.0 * v_max
-    # score_l = |v_l|^2 |gh|^2 + 2 Re(v_l q) with q = gh conj(alpha): each
-    # entry's coefficients of |gh|^2, Re q and Im q
-    coef = np.stack([value_abs2, 2.0 * values.real, -2.0 * values.imag], axis=1)
-    entries = coef.tolist()
-    values_list = values.tolist()
-
-    trace = [abs(total) ** 2]
-    updates_per_sweep = []
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        updates = 0
-        now = complex(total)
-        start = 0
-        while start < n_el:
-            # one round: margins of a window against the round's total, then
-            # exact rescoring, in order, of the elements the drift can reach
-            stop = min(start + _WINDOW, n_el)
-            w = slice(start, stop)
-            rows = _ROWS[: stop - start]
-            cur, t, g, g2 = idx[w], terms[w], gh[w], gh_abs2[w]
-            g_abs = np.sqrt(g2)
-            slope = per_total * g_abs
-            q = g * (now - t).conj()
-            scores = coef[:, :1] * g2 + coef[:, 1:2] * q.real + coef[:, 2:] * q.imag
-            margin = -scores[cur, rows]
-            scores[cur, rows] = -np.inf
-            margin += scores.max(0)
-            allow = fixed * g2 + slope * np.abs(t)
-            reach = 2.0 * budget * g_abs * spread[cur] + allow + slope * (abs(now) + budget)
-            cand = np.flatnonzero(margin + reach >= 0)
-            dense = 4 * cand.size > stop - start
-            if dense:
-                cand = rows
-            origin = now
-            size = abs(now)
-            for j, current, t_j, gh_j, g2_j, tol, slope_j in zip(
-                (cand + start).tolist(),
-                cur[cand].tolist(),
-                t[cand].tolist(),
-                g[cand].tolist(),
-                g2[cand].tolist(),
-                allow[cand].tolist(),
-                slope[cand].tolist(),
-            ):
-                alpha = now - t_j
-                q = gh_j * alpha.conjugate()
-                qr, qi = q.real, q.imag
-                s = [a * g2_j + (r * qr + i * qi) for a, r, i in entries]
-                top = max(s)
-                best = s.index(top)
-                s[best] = _NEG
-                if max(s) >= top - tol - slope_j * size:
-                    # a tie to within rounding: decide it with the block
-                    # expression, rounded as numpy rounds it
-                    exact = value_abs2 * gh_abs2[j] + 2.0 * (values * gh[j] * np.conj(alpha)).real
-                    best = int(np.argmax(exact)) if exact.max() > exact[current] else current
-                if best == current:
-                    continue
-                idx[j] = best
-                now = alpha + gh_j * values_list[best]
-                size = abs(now)
-                updates += 1
-                if not dense and abs(now - origin) > budget:
-                    start = j + 1
-                    break
-            else:
-                start = stop
-        updates_per_sweep.append(updates)
-        # full recompute per sweep caps incremental rounding drift
-        gamma = values[idx]
-        terms = gh * gamma
-        total = np.sum(terms)
-        trace.append(abs(total) ** 2)
-        if not updates:
-            converged = True
-            break
+        idx = np.zeros(pair.g.size, dtype=int)
+    trace, updates_per_sweep, converged = _Scan((pair.g * pair.h).ravel(), values, idx).ascend()
 
     shape = pair.g.shape
     config = SurfaceConfig(
-        gamma.reshape(shape),
+        values[idx].reshape(shape),
         DesignCriterion.from_alphabet(alphabet),
         alphabet_indices=idx.reshape(shape),
     )
@@ -287,6 +426,7 @@ def optimize_alternating(
         objective_trace=trace,
         converged=converged,
         updates_per_sweep=updates_per_sweep,
+        coordinatewise_optimal=is_coordinatewise_optimal(pair, config, alphabet),
     )
     return config, report
 

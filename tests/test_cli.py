@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rispattern import __version__, parse_scenario, run_scenario
+from rispattern import __version__, designer, parse_scenario, run_scenario
 from rispattern import scenario as scenario_module
 from rispattern.cli import canonical_digest, main, matrix_csv, trace_csv
 
@@ -65,6 +65,33 @@ class TestRunCommand:
         assert manifest["criterion"] == "UACP"
         assert "trace.csv" in manifest["outputs"]
         assert abs(manifest["peak_angle_deg"] - 45.0) < 5.0
+        assert "optimizer" not in manifest
+
+    def test_manifest_records_the_optimizer(self, tmp_path, monkeypatch):
+        text = SCENARIO_TEXT.replace("criterion = uacp", "criterion = alphabet\nalphabet = varactor5g")
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        report = run_scenario(parse_scenario(text)).report
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["optimizer"] == {
+            "iterations": report.iterations,
+            "converged": True,
+            "updates_per_sweep": report.updates_per_sweep,
+            "coordinatewise_optimal": True,
+        }
+        assert report.iterations == len(report.updates_per_sweep) > 1
+        # one sweep leaves the design improvable, and the manifest says so
+        monkeypatch.setattr(designer, "_MAX_SWEEPS", 1)
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["optimizer"] == {
+            "iterations": 1,
+            "converged": False,
+            "updates_per_sweep": report.updates_per_sweep[:1],
+            "coordinatewise_optimal": False,
+        }
 
     def test_manifest_names_the_seed_in_the_criterion(self, tmp_path):
         path = tmp_path / "s.ini"
