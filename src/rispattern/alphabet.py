@@ -12,6 +12,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,9 +83,12 @@ class Alphabet:
     def cardinality(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.entries], dtype=complex)
+        """The entries' complex values, built once and read-only."""
+        values = np.array([e.value for e in self.entries], dtype=complex)
+        values.flags.writeable = False
+        return values
 
     @property
     def phases(self) -> np.ndarray:

@@ -21,6 +21,10 @@ TWO_PI = 2.0 * math.pi
 
 def canonical_phase(phi):
     """Wrap a phase (scalar or array, radians) into the range (-pi, pi]."""
+    if isinstance(phi, (int, float)):
+        # Python's float % rounds as np.mod does, at a fraction of the cost
+        wrapped = phi % TWO_PI
+        return float(wrapped - TWO_PI if wrapped > math.pi else wrapped)
     wrapped = np.mod(phi, TWO_PI)
     wrapped = np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
     if np.ndim(phi) == 0:

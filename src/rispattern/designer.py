@@ -1,6 +1,27 @@
 """Surface configuration design: closed-form phase matching, baselines, and
 alternating optimization over an arbitrary finite reflection alphabet.
 
+Unless given a start, the alternating optimizer starts at the exact global
+optimum of |S|, S = sum gh x over the alphabet's entries x, found by a
+breakpoint sweep.  Why it is exact: |S| = max over psi of Re(e^{-j psi} S).
+At the optimum's direction psi*, every element's choice maximizes its own
+Re(e^{-j psi*} gh_i x_i), or changing it would raise |S|; and any choices
+that all do so reach |S| >= the optimum, so they are optimal too.  Such a
+choice is a vertex p_k of the convex hull of the entries, and as psi turns,
+element i's best vertex changes from p_k to p_{k+1} only at psi =
+arg(gh_i) + beta_k, beta_k the outward normal of the hull's edge k.  The
+sweep visits these N K breakpoints in order around the circle, moves a
+running sum by gh_i (p_{k+1} - p_k) at each and keeps the first maximum of
+|S|: it meets every assignment that is best for some psi, the optimum
+among them (the support function of a Minkowski sum of convex polygons).
+Its memory is the elements sorted by arg(gh) plus one sector of the circle
+at a time: each edge's breakpoints in a sector are a run of that order,
+found by searchsorted, and a sector holds at most _SECTOR of them unless
+they fall on one angle.  The coordinate ascent below then certifies the
+start, in one sweep without an update on the benchmark's designs; as the
+running sum is rounded, it takes any strict improvement the start missed.
+Given a start, the optimizer is plain coordinate ascent from it.
+
 The alternating optimizer sweeps the elements in row-major order and gives
 each one the alphabet entry that maximizes the exact quadratic objective
 against the field sum of all other elements, changing it only on a strict
@@ -70,7 +91,7 @@ import numpy as np
 
 from .alphabet import Alphabet, DesignCriterion, uadp_set
 from .channel import ChannelPair
-from .core import RisGeometry, canonical_phase
+from .core import TWO_PI, RisGeometry, canonical_phase
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +144,10 @@ _FIXPOINT_PASSES = 8
 _FIXPOINT_MIN = 64
 _ROWS = np.arange(_WINDOW)
 _NEG = -math.inf
+
+# The most breakpoints one sector of the optimum's sweep gathers, unless they
+# fall on one angle (at most one per element there).
+_SECTOR = 4096
 
 
 def _target_phase(pair: ChannelPair) -> np.ndarray:
@@ -185,6 +210,114 @@ def design_diffuser(geom: RisGeometry, seed: int = 0) -> SurfaceConfig:
     return SurfaceConfig(np.exp(1j * phases), DesignCriterion.diffuser(seed))
 
 
+def _hull(values: list[complex]) -> list[int]:
+    """Indices of the alphabet's convex-hull vertices in counter-clockwise
+    order: the lowest index among equal values, no point inside an edge."""
+    pts = []
+    for i in sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag, i)):
+        if not pts or values[i] != values[pts[-1]]:
+            pts.append(i)
+
+    def turns_left(o: int, a: int, b: int) -> bool:
+        oa, ob = values[a] - values[o], values[b] - values[o]
+        return oa.real * ob.imag - oa.imag * ob.real > 0
+
+    chains = []
+    for run in (pts, pts[::-1]):
+        chain: list[int] = []
+        for i in run:
+            while len(chain) >= 2 and not turns_left(chain[-2], chain[-1], i):
+                chain.pop()
+            chain.append(i)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1] or pts
+
+
+def _alphabet_optimum(gh: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Alphabet indices that maximize |sum gh x| over x in values, by a
+    sweep of the direction psi around the circle (module docstring)."""
+    n = gh.size
+    hull = _hull(values.tolist())
+    if len(hull) == 1:
+        return np.full(n, hull[0])
+    p = values[hull]
+    step = np.roll(p, -1) - p
+    # edge k, from vertex k to k + 1, has outward normal beta_k; vertex k is
+    # the best for directions between beta_{k-1} and beta_k.  Number the
+    # edges from the smallest normal in [0, 2 pi), so beta increases with k
+    beta = np.mod(np.angle(step) - 0.5 * math.pi, TWO_PI)
+    first = int(np.argmin(beta))
+    hull, p, step = np.roll(hull, -first), np.roll(p, -first), np.roll(step, -first)
+    beta = np.maximum.accumulate(np.roll(beta, -first))
+    k = p.size
+    # element i switches from vertex k to k + 1 at u = t_i + beta_k (mod
+    # 2 pi), with u = psi + pi and t = arg(gh) + pi.  In the order of t,
+    # edge k meets first the elements from r_k on, those with
+    # t_i + beta_k >= 2 pi, then the others: the elements of t_ext from r_k
+    theta = np.angle(gh)
+    order = np.argsort(theta, kind="stable")
+    a = gh[order]
+    t_ext = np.empty(2 * n)
+    np.add(theta[order], math.pi, out=t_ext[:n])
+    np.add(t_ext[:n], TWO_PI, out=t_ext[n:])
+    del theta
+    wrap = TWO_PI - beta
+    shift = beta - TWO_PI
+    r = np.searchsorted(t_ext[:n], wrap)
+    # at u = 0 an element holds the vertex of the first edge it meets, the
+    # first k with r_k <= its position
+    vertex = k - np.cumsum(np.bincount(r, minlength=n + 1)[:n])
+    vertex %= k
+    terms = p[vertex]
+    terms *= a
+    total = np.sum(terms)
+    del terms
+    best, best_lo, best_run = total.real**2 + total.imag**2, np.zeros(k, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    # a sector [s, s + width) of u holds positions lo_k..hi_k - 1 of edge k's
+    # breakpoints; its width adapts to hold at most _SECTOR of them
+    lo = best_lo
+    s, width = 0.0, TWO_PI * _SECTOR / (n * k)
+    while s < TWO_PI:
+        e = s + width
+        hi = np.clip(np.searchsorted(t_ext, e + wrap) - r, lo, n) if e < TWO_PI else np.full(k, n)
+        count = hi - lo
+        size = int(count.sum())
+        if size > _SECTOR and s + 0.5 * width > s:
+            width *= 0.5
+            continue
+        if size:
+            # the sector's breakpoints in order of u, ties edge by edge and
+            # then in the order of t, so the sweep order is fixed
+            edge = np.repeat(np.arange(k), count)
+            j = np.arange(size) + np.repeat(r + lo - (np.cumsum(count) - count), count)
+            o = np.argsort(t_ext[j] + shift[edge], kind="stable")
+            j, edge = j[o], edge[o]
+            j[j >= n] -= n
+            run = a[j] * step[edge]
+            run[0] += total
+            np.cumsum(run, out=run)
+            size2 = run.real**2 + run.imag**2
+            at = int(np.argmax(size2))
+            if size2[at] > best:
+                best, best_lo, best_run = size2[at], lo, j[: at + 1].copy()
+            total = run[-1]
+        s, lo = e, hi
+        width *= min(2.0, 0.9 * _SECTOR / size) if size else 2.0
+    del a, t_ext
+    # each element's vertex at the best sum: its start plus the edges passed
+    passed = np.zeros(2 * n + 1, dtype=np.intp)
+    np.add.at(passed, r, 1)
+    np.subtract.at(passed, r + best_lo, 1)
+    np.cumsum(passed, out=passed)
+    vertex += passed[:n]
+    vertex += passed[n:-1]
+    np.add.at(vertex, best_run, 1)
+    vertex %= k
+    idx = np.empty(n, dtype=np.intp)
+    idx[order] = hull[vertex]
+    return idx
+
+
 class _Scan:
     """The certified-skip scan of one optimizer run (module docstring): the
     design's constants, the current sweep's terms, and the indices, which
@@ -199,7 +332,7 @@ class _Scan:
         # spread[m] = max_l |v_l - v_m| bounds how fast the score differences
         # of an element holding entry m move with the total; the drift budget
         # is a few typical single-update steps
-        self.spread = np.array([np.abs(values - v).max() for v in values])
+        self.spread = np.abs(values - values[:, None]).max(axis=1)
         self.budget = _DRIFT_STEPS * float(np.mean(self.g_abs)) * float(self.spread.max())
         # rounding allowance = fixed |gh|^2 + slope (|total| + |term|)
         v_max = float(np.abs(values).max())
@@ -401,19 +534,23 @@ def optimize_alternating(
     a strict improvement.  The outer loop stops after a sweep that changes
     no element (converged=True), or after _MAX_SWEEPS (100) sweeps
     (converged=False, best-so-far returned).
-    Coordinate ascent is a local method: the output is coordinate-wise
-    optimal, not necessarily the global optimum.  The report's
-    coordinatewise_optimal checks that with is_coordinatewise_optimal after
-    the last sweep.
+    Without init the ascent starts at the exact global optimum over the
+    alphabet (the breakpoint sweep of the module docstring) and certifies
+    it.  With init it is plain coordinate ascent from there, a local method:
+    the output is coordinate-wise optimal, not necessarily the global
+    optimum.  The report's coordinatewise_optimal checks that with
+    is_coordinatewise_optimal after the last sweep.
     """
     values = alphabet.values
+    gh = (pair.g * pair.h).ravel()
     if init is not None:
         if init.alphabet_indices is None:
             raise ValueError("initial config must carry alphabet indices")
         idx = init.alphabet_indices.ravel().copy()
     else:
-        idx = np.zeros(pair.g.size, dtype=int)
-    trace, updates_per_sweep, converged = _Scan((pair.g * pair.h).ravel(), values, idx).ascend()
+        idx = _alphabet_optimum(gh, values)
+    scan = _Scan(gh, values, idx)
+    trace, updates_per_sweep, converged = scan.ascend()
 
     shape = pair.g.shape
     config = SurfaceConfig(
@@ -426,7 +563,7 @@ def optimize_alternating(
         objective_trace=trace,
         converged=converged,
         updates_per_sweep=updates_per_sweep,
-        coordinatewise_optimal=is_coordinatewise_optimal(pair, config, alphabet),
+        coordinatewise_optimal=_coordinatewise_optimal(gh, scan.terms, values),
     )
     return config, report
 
@@ -437,14 +574,18 @@ def is_coordinatewise_optimal(
     """True if no single-element substitution from the alphabet strictly
     increases the objective."""
     gh = (pair.g * pair.h).ravel()
-    terms = gh * config.gamma.ravel()
+    return _coordinatewise_optimal(gh, gh * config.gamma.ravel(), alphabet.values)
+
+
+def _coordinatewise_optimal(gh: np.ndarray, terms: np.ndarray, values: np.ndarray) -> bool:
+    """is_coordinatewise_optimal from the terms gh * gamma."""
     total = np.sum(terms)
     current = abs(total) ** 2
     # the objective with each element in turn set to v, all others kept; one
     # entry at a time, so that memory stays O(elements)
     alpha = total - terms
     bound = current * (1.0 + 1e-12)
-    return not any(np.any(np.abs(alpha + gh * v) ** 2 > bound) for v in alphabet.values)
+    return not any(np.any(np.abs(alpha + gh * v) ** 2 > bound) for v in values)
 
 
 def design_for_criterion(

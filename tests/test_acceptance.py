@@ -27,6 +27,7 @@ from rispattern import (
     builtin,
     constellation_stats,
     design_diffuser,
+    design_for_criterion,
     design_uacp,
     design_uadp,
     far_field_radius,
@@ -39,6 +40,7 @@ from rispattern import (
     sweep,
     uadp_set,
 )
+from rispattern import designer
 from rispattern.cli import trace_csv
 
 
@@ -116,19 +118,25 @@ def _brute_force_best(pair, alphabet):
     return best
 
 
+# criterion 01's thirty seeded instances: (seed, grid side, alphabet size)
+ORACLE_INSTANCES = [(seed, 3, 2) for seed in range(20)] + [(seed, 2, 4) for seed in range(100, 110)]
+
+
+def _oracle_instance(seed, n, levels):
+    rng = np.random.default_rng(seed)
+    pair = _random_pair(rng, n)
+    return pair, _random_alphabet(rng, levels)
+
+
 @pytest.fixture(scope="module")
 def oracle_runs():
     """Thirty seeded random instances solved both ways."""
-    instances = [(seed, 3, 2) for seed in range(20)] + [
-        (seed, 2, 4) for seed in range(100, 110)
-    ]
     t0 = time.perf_counter()
     runs = []
-    for seed, n, levels in instances:
-        rng = np.random.default_rng(seed)
-        pair = _random_pair(rng, n)
-        alph = _random_alphabet(rng, levels)
-        # the cold start plus 8 seeded random starts, keeping the best
+    for seed, n, levels in ORACLE_INSTANCES:
+        pair, alph = _oracle_instance(seed, n, levels)
+        # the default start (the exact optimum) plus 8 seeded random starts,
+        # keeping the best
         config, report = optimize_alternating(pair, alph)
         restart_rng = np.random.default_rng(seed)
         for _ in range(8):
@@ -316,6 +324,68 @@ def test_criterion_03_study():
     assert peaks == pytest.approx([42.4, 44.2, 44.8], abs=0.05)
     assert peaks[0] < peaks[1] < peaks[2] < 45.0
     assert lobe(DesignCriterion.uacp(), 1.0) == pytest.approx(44.4, abs=0.05)
+
+
+def _design_pair(s):
+    """The channel that design_scenario designs s on."""
+    geom, wave = s.geometry(), s.wave
+    tx_radius = far_field_radius(geom, wave)
+    rx_radius = s.near_radius if s.field_regime == "near" else tx_radius
+    tx, rx = Terminal(rx_arc_position(tx_radius, 0.0)), Terminal(rx_arc_position(rx_radius, s.target_angle))
+    return ChannelPair.compute(geom, wave, tx, rx)
+
+
+def _optimum(gh, values):
+    """|sum gh x|^2 at the exact optimum over the entries."""
+    return abs(np.sum(gh * values[designer._alphabet_optimum(gh, values)])) ** 2
+
+
+def test_alphabet_optimum_on_oracle_instances():
+    # the breakpoint sweep alone reaches the exhaustive optimum on criterion
+    # 01's instances
+    for seed, n, levels in ORACLE_INSTANCES:
+        pair, alph = _oracle_instance(seed, n, levels)
+        gh = (pair.g * pair.h).ravel()
+        assert _optimum(gh, alph.values) == pytest.approx(_brute_force_best(pair, alph), rel=1e-12)
+
+
+# design / optimum in dB at 61 x 61 (2.3 GHz, lambda/8, 1 m) per geometry:
+# UADP(2), UADP(4), UADP(8), UAEP(testbed2p3), UAEP(varactor5g), each
+# against the optimum over its own unit-amplitude phase set, then the
+# cold-start ascent of the testbed2p3 and varactor5g alphabets against the
+# optimum over the alphabet
+QUANTIZATION_STUDY = {
+    ("far", 45.0): [-0.0053, -0.0529, -0.0047, -0.0424, -0.0134, -0.0388, -0.0250],
+    ("near", 45.0): [-0.2133, -0.0131, -0.0023, -0.0211, -0.0943, -0.0096, -0.0005],
+    ("far", 75.0): [-0.0015, -0.0384, -0.0049, -0.0137, -0.0042, -0.0179, -0.0093],
+    ("near", 75.0): [-0.1471, -0.0032, -0.0070, -0.0156, -0.0428, -0.0088, -0.0003],
+}
+
+
+def test_alphabet_optimum_study():
+    # the gap the paper's quantization-loss comparisons rest on: the
+    # closed-form quantized designs and the cold-start coordinate ascent
+    # against the exact optimum of their own feasible sets, all within 0.25 dB
+    criteria = [DesignCriterion.uadp(2), DesignCriterion.uadp(4), DesignCriterion.uadp(8)]
+    criteria += [DesignCriterion.uaep(builtin(name)) for name in ("testbed2p3", "varactor5g")]
+    for (regime, target), expected in QUANTIZATION_STUDY.items():
+        near = {"field_regime": "near", "near_radius": 5.0} if regime == "near" else {}
+        pair = _design_pair(Scenario(2.3e9, DesignCriterion.uacp(), target, pitch_divisor=8.0, aperture=1.0, **near))
+        gh = (pair.g * pair.h).ravel()
+        gaps = []
+        for criterion in criteria:
+            phases = uadp_set(criterion.levels).phases if criterion.kind == "uadp" else criterion.alphabet.phases
+            gamma = design_for_criterion(pair, criterion)[0].gamma.ravel()
+            gaps.append(_db(abs(np.sum(gh * gamma)) ** 2 / _optimum(gh, np.exp(1j * phases))))
+        for name in ("testbed2p3", "varactor5g"):
+            alph = builtin(name)
+            idx0 = np.zeros(pair.g.shape, dtype=int)
+            cold = SurfaceConfig(alph.values[idx0], DesignCriterion.from_alphabet(alph), alphabet_indices=idx0)
+            gaps.append(_db(optimize_alternating(pair, alph, cold)[1].objective_trace[-1] / _optimum(gh, alph.values)))
+        print(f"\n[study] {regime} {target:g} deg, design / optimum in dB: " + " ".join(f"{g:.4f}" for g in gaps))
+        assert pair.g.shape == (61, 61)
+        assert gaps == pytest.approx(expected, abs=1e-3)
+        assert all(-0.25 < g <= 1e-12 for g in gaps)
 
 
 def test_criterion_04_quantization_recovery(fourstate_run, beamsplit_run):

@@ -81,15 +81,21 @@ class TestRunCommand:
             "updates_per_sweep": report.updates_per_sweep,
             "coordinatewise_optimal": True,
         }
-        assert report.iterations == len(report.updates_per_sweep) > 1
-        # one sweep leaves the design improvable, and the manifest says so
+        # the ascent starts at the exact optimum, which one sweep certifies
+        assert report.iterations == len(report.updates_per_sweep) == 1
+        assert report.updates_per_sweep == [0]
+        # from the cold start one sweep leaves the design improvable, and the
+        # manifest says so
+        monkeypatch.setattr(designer, "_alphabet_optimum", lambda gh, values: np.zeros(gh.size, dtype=int))
+        cold = run_scenario(parse_scenario(text)).report
+        assert cold.iterations > 1
         monkeypatch.setattr(designer, "_MAX_SWEEPS", 1)
         assert main(["run", str(path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["optimizer"] == {
             "iterations": 1,
             "converged": False,
-            "updates_per_sweep": report.updates_per_sweep[:1],
+            "updates_per_sweep": cold.updates_per_sweep[:1],
             "coordinatewise_optimal": False,
         }
 

@@ -123,6 +123,16 @@ class TestPhaseCanonicalization:
             math.radians(-23.2)
         )
 
+    def test_scalar_path_matches_array_path(self):
+        # Python floats take % and math, arrays np.mod: the same bits
+        rng = np.random.default_rng(5)
+        edges = [k * math.pi for k in (-3, -2, -1, 0, 1, 2, 3)] + [-0.0]
+        edges += [np.nextafter(x, d) for x in edges for d in (-math.inf, math.inf)]
+        phi = np.concatenate([edges, rng.uniform(-20.0, 20.0, 2000), rng.uniform(-1e6, 1e6, 200)])
+        scalar = np.array([canonical_phase(float(x)) for x in phi])
+        assert all(type(canonical_phase(float(x))) is float for x in phi[:10])
+        assert np.array_equal(scalar.view(np.int64), canonical_phase(phi).view(np.int64))
+
     def test_array_input(self):
         out = canonical_phase(np.array([0.0, 3 * math.pi, -3 * math.pi]))
         assert out == pytest.approx([0.0, math.pi, math.pi])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from rispattern import (
     ComplexCoefficient,
     DesignCriterion,
     RisGeometry,
+    Scenario,
     SurfaceConfig,
     Terminal,
     Wave,
@@ -23,11 +25,14 @@ from rispattern import (
     design_uacp,
     design_uadp,
     design_uaep,
+    far_field_radius,
     is_coordinatewise_optimal,
     optimize_alternating,
     received_power,
+    rx_arc_position,
     uadp_set,
 )
+from rispattern.scenario import design_scenario
 
 
 def make_pair(n=3, m=3, f=2.3e9, tx=(0, 0, 50.0), rx=(20.0, 5.0, 40.0), d=None):
@@ -49,8 +54,8 @@ def brute_force_best(pair, alphabet):
 
 
 def best_of_restarts(pair, alphabet, restarts, seed=0):
-    """Coordinate ascent from the cold start, then from `restarts` seeded
-    random feasible starts; the run with the strictly highest final
+    """Coordinate ascent from the default start, then from `restarts`
+    seeded random feasible starts; the run with the strictly highest final
     objective wins (the earliest on a tie)."""
     best = optimize_alternating(pair, alphabet)
     rng = np.random.default_rng(seed)
@@ -64,6 +69,12 @@ def best_of_restarts(pair, alphabet, restarts, seed=0):
         if run[1].objective_trace[-1] > best[1].objective_trace[-1]:
             best = run
     return best
+
+
+def cold_start(pair, alphabet):
+    """The all-index-0 start, from which the scan does the most work."""
+    idx0 = np.zeros(pair.g.shape, dtype=int)
+    return SurfaceConfig(alphabet.values[idx0], DesignCriterion.from_alphabet(alphabet), alphabet_indices=idx0)
 
 
 def _reference_alternating(pair, alphabet, init=None, max_sweeps=100):
@@ -260,7 +271,8 @@ class TestAlternatingOptimizer:
     def test_sweep_cap_reports_nonconverged(self, monkeypatch):
         monkeypatch.setattr(designer, "_MAX_SWEEPS", 1)
         pair = make_pair(4, 4, rx=(30.0, 0.0, 20.0))
-        _, report = optimize_alternating(pair, builtin("testbed2p3"))
+        alph = builtin("testbed2p3")
+        _, report = optimize_alternating(pair, alph, cold_start(pair, alph))
         # one sweep from a cold start changes some element, so the loop runs
         # out of sweeps before a sweep that changes nothing
         assert report.iterations == 1
@@ -271,12 +283,12 @@ class TestAlternatingOptimizer:
         pair = make_pair(12, 12, rx=(30.0, -10.0, 25.0))
         alph = builtin("varactor5g")
         monkeypatch.setattr(designer, "_MAX_SWEEPS", 1)
-        config, report = optimize_alternating(pair, alph)
+        config, report = optimize_alternating(pair, alph, cold_start(pair, alph))
         assert not report.converged
         assert not report.coordinatewise_optimal
         assert not is_coordinatewise_optimal(pair, config, alph)
         monkeypatch.setattr(designer, "_MAX_SWEEPS", 100)
-        config, report = optimize_alternating(pair, alph)
+        config, report = optimize_alternating(pair, alph, cold_start(pair, alph))
         assert report.converged and report.coordinatewise_optimal
 
     def test_restarts_never_worse(self):
@@ -333,7 +345,7 @@ def _batch_instance(seed):
             tx = tuple(rng.uniform([-20, -20, 1], [20, 20, 50]))
             rx = tuple(rng.uniform([-20, -20, 1], [20, 20, 50]))
         pair = make_pair(n, m, tx=tx, rx=rx, d=0.02)
-    init = None
+    init = cold_start(pair, alph)
     if seed % 2 == 0:
         idx0 = rng.integers(0, len(alph.values), size=(n, m))
         init = SurfaceConfig(alph.values[idx0], DesignCriterion.from_alphabet(alph), alphabet_indices=idx0)
@@ -363,7 +375,7 @@ class TestBlockScanOracle:
         monkeypatch.setattr(designer, "_MAX_SWEEPS", max_sweeps)
         alph = builtin(alph) if isinstance(alph, str) else alph
         pair = make_pair(n, m, tx=tx, rx=rx, d=0.02)
-        init = None
+        init = cold_start(pair, alph)
         if random_start:
             rng = np.random.default_rng(sum(map(ord, case)))
             idx0 = rng.integers(0, len(alph.values), size=(n, m))
@@ -418,7 +430,7 @@ class TestBlockScanOracle:
         budget = designer._DRIFT_STEPS * np.mean(np.abs(gh)) * abs(alph.values[1] - alph.values[0])
         assert -1.0 < margin / (reach * budget) < -0.9
         assert idx.ravel()[-7:].tolist() == [0, 1, 1, 1, 1, 1, 1]
-        config, report = optimize_alternating(pair, alph)
+        config, report = optimize_alternating(pair, alph, cold_start(pair, alph))
         assert np.array_equal(config.alphabet_indices, idx)
         assert report.objective_trace == trace
         assert report.updates_per_sweep == per_sweep == [5, 1, 0]
@@ -488,6 +500,8 @@ def scan_spy(monkeypatch):
 
 
 def _matches_reference(pair, alph, init=None):
+    if init is None:
+        init = cold_start(pair, alph)
     idx, trace, per_sweep, converged = _reference_alternating(pair, alph, init)
     config, report = optimize_alternating(pair, alph, init)
     assert np.array_equal(config.alphabet_indices, idx)
@@ -563,11 +577,114 @@ class TestDenseRounds:
 class TestUpdatesPerSweep:
     def test_first_sweep_does_most_updates(self):
         pair = make_pair(12, 12, rx=(30.0, -10.0, 25.0))
-        _, report = optimize_alternating(pair, builtin("varactor5g"))
+        alph = builtin("varactor5g")
+        _, report = optimize_alternating(pair, alph, cold_start(pair, alph))
         per_sweep = report.updates_per_sweep
         assert len(per_sweep) == report.iterations > 1
         assert sum(per_sweep) == report.element_update_count
         assert per_sweep[0] > sum(per_sweep[1:])
+
+
+def _optimum_instance(seed):
+    """A seeded instance of the exhaustive check of the optimum: 1-6
+    elements, 1-5 entries.  Seeds 0, 3, 6, ... are tie-heavy: gh on eighth
+    turns of one or two amplitudes and the L-PSK alphabet.  Seeds 1, 4, 7, ...
+    draw gh and the entries at random.  Seeds 2, 5, 8, ... take the entries
+    from a coarse lattice, where equal entries, entries inside the hull and
+    0 occur."""
+    rng = np.random.default_rng(seed)
+    n, levels = (int(k) for k in rng.integers([1, 1], [7, 6]))
+    if seed % 3 == 0:
+        gh = rng.integers(1, 3, n) * np.exp(0.25j * np.pi * rng.integers(0, 8, n))
+        return gh, np.exp(2j * np.pi * np.arange(levels) / levels)
+    gh = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if seed % 3 == 1:
+        return gh, rng.uniform(0.0, 1.0, levels) * np.exp(1j * rng.uniform(-np.pi, np.pi, levels))
+    return gh, (rng.integers(-2, 3, levels) + 1j * rng.integers(-2, 3, levels)) / 4
+
+
+def _exhaustive(gh, values):
+    """max |sum gh x|^2 over all len(values) ** gh.size assignments."""
+    sums = np.zeros(1, dtype=complex)
+    for g in gh:
+        sums = (sums[:, None] + g * values[None, :]).ravel()
+    return float(np.max(np.abs(sums) ** 2))
+
+
+def _optimum_objective(gh, values):
+    return abs(np.sum(gh * values[designer._alphabet_optimum(gh, values)])) ** 2
+
+
+# the benchmark's near-alphabet designs: (alphabet, target angle)
+NEAR_DESIGNS = [("varactor5g", t) for t in (30.0, 45.0, 75.0)] + [("omni3p6", t) for t in (45.0, 75.0)]
+
+
+class TestAlphabetOptimum:
+    """The default start, the breakpoint sweep's exact optimum."""
+
+    def test_hull_keeps_the_lowest_index_and_no_edge_points(self):
+        values = [1, 1j, 1, -1, 0, -1j, 0.5, -0.5 - 0.5j]
+        assert designer._hull([complex(v) for v in values]) == [3, 5, 0, 1]
+        assert designer._hull([0j, 1 + 1j, 2 + 2j]) == [0, 2]
+        assert designer._hull([0.5 + 0j, 0.5 + 0j]) == [0]
+
+    @pytest.mark.parametrize("seed", range(0, 300, 50))
+    def test_matches_exhaustive_search(self, seed):
+        for s in range(seed, seed + 50):
+            gh, values = _optimum_instance(s)
+            assert _optimum_objective(gh, values) == pytest.approx(_exhaustive(gh, values), rel=1e-12)
+
+    def test_zero_and_equal_gh(self):
+        values = builtin("varactor5g").values
+        for gh in ([0j, 0j], [0j, 1 + 1j, 0j], [1 - 2j] * 5, [2j, 2j, -2j]):
+            gh = np.array(gh)
+            assert _optimum_objective(gh, values) == pytest.approx(_exhaustive(gh, values), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(0, 60, 3))
+    def test_design_is_coordinatewise_optimal(self, seed):
+        for s in (seed, seed + 1, seed + 2):
+            pair, alph, _ = _batch_instance(s)
+            idx = designer._alphabet_optimum((pair.g * pair.h).ravel(), alph.values).reshape(pair.g.shape)
+            config = SurfaceConfig(alph.values[idx], DesignCriterion.from_alphabet(alph), alphabet_indices=idx)
+            assert is_coordinatewise_optimal(pair, config, alph)
+
+    def test_rerun_is_bit_identical(self):
+        pair, alph, _ = _batch_instance(4)
+        gh = (pair.g * pair.h).ravel()
+        assert np.array_equal(designer._alphabet_optimum(gh, alph.values), designer._alphabet_optimum(gh, alph.values))
+
+    @pytest.mark.parametrize("name, target", NEAR_DESIGNS)
+    def test_near_designs_reach_at_least_the_cold_start_ascent(self, name, target):
+        alph = builtin(name)
+        s = Scenario(
+            alph.nominal_frequency, DesignCriterion.from_alphabet(alph), target,
+            pitch_divisor=4, field_regime="near", near_radius=5.0,
+        )
+        geom, wave = s.geometry(), s.wave
+        tx = Terminal(rx_arc_position(far_field_radius(geom, wave), 0.0))
+        pair = ChannelPair.compute(geom, wave, tx, Terminal(rx_arc_position(5.0, target)))
+        _, cold = optimize_alternating(pair, alph, cold_start(pair, alph))
+        config, report = optimize_alternating(pair, alph)
+        assert report.objective_trace[0] >= cold.objective_trace[-1]
+        # one sweep certifies the start
+        assert report.updates_per_sweep == [0] and report.converged and report.coordinatewise_optimal
+        assert np.array_equal(design_scenario(s).config.alphabet_indices, config.alphabet_indices)
+
+    def test_memory_is_linear_plus_one_sector(self):
+        wave = Wave(5.45e9)
+        d = wave.wavelength / 4
+        pair = ChannelPair.compute(RisGeometry(200, 200, d, d), wave, Terminal((0, 0, 5.0)), Terminal((2.0, 0, 3.0)))
+        gh = (pair.g * pair.h).ravel()
+        values = uadp_set(64).values
+        tracemalloc.start()
+        try:
+            designer._alphabet_optimum(gh, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 64 bytes per element and 100 per breakpoint of a sector; the
+        # 2.56 million breakpoints at once would take over 100 MB
+        assert peak < 80 * gh.size + 160 * designer._SECTOR
 
 
 class TestCoordinatewiseOptimal:
