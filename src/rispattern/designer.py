@@ -28,7 +28,7 @@ against the field sum of all other elements, changing it only on a strict
 improvement, ties to the lowest index.  The field total moves only when an
 element changes, and it is recomputed from scratch at the end of each sweep.
 The walk of one element at a time that this describes is the reference;
-the optimizer reaches its decisions with less work, in three ways.
+the optimizer makes the same decisions but scores fewer elements.
 
 Most visits change nothing, and the optimizer proves that rather than
 scoring them: a certified-skip scan.  Element i, holding entry m, improves
@@ -40,52 +40,35 @@ one matrix product, the (L x 3) coefficients of each entry's score times
 each element's [|gh|^2, Re q, Im q], q = gh conj(alpha).  An element whose
 margin + c_i D + allowance is negative cannot improve while |T - T0| <= D,
 the round's drift budget of _DRIFT_STEPS typical single-update moves, so it
-is skipped unscored.  The others are rescored exactly, in order, against
-the current total, but the walk still skips one unscored if its margin +
-c_i delta + allowance is negative at the drift delta = |T - T0| <= D that
-it has reached.  An update that takes the drift past D ends the round, and
-the next one starts just after that element.
+is skipped unscored.  The others are decided in order against the current
+total, but the walk still skips one unscored if its margin + c_i delta +
+allowance is negative at the drift delta = |T - T0| <= D that it has
+reached.  An update that takes the drift past D ends the round, and the next
+one starts just after that element.  If more than a quarter of a window are
+candidates, as in a first sweep from a cold start, the round is dense: the
+walk takes the whole window with no budget, skipping by the same test at
+whatever drift it has reached.
 
-If more than a quarter of a window are candidates, as in a first sweep, the
-round is dense: the budget does not apply, and fixpoint passes take the
-round instead of the walk.  A pass guesses every decision (the first pass
-takes those at T0), forms the totals the walk would see if the guesses
-held, and decides every element at its total.  The totals are the running
-sums of [T0, -t_1, p_1, -t_2, p_2, ...] over the guessed updates:
-np.add.accumulate adds strictly in order, as the walk does, and the
-products p = gh v come from real multiplies, rounded as Python's complex
-product rounds them, so each sum is the walk's total bit for bit.  Up to
-the first decision that differs from its guess, every element saw the
-walk's own total, so that prefix, the differing decision included, is the
-walk's result.  The pass commits it, and the next pass starts after it from
-the new decisions.  A pass costs about as much as walking ten elements, so
-the round walks the rest once fewer than _FIXPOINT_MIN elements are left or
-after _FIXPOINT_PASSES passes: a dense round costs at most that many passes
-more than the walk, even when every update changes the next decision.
-
-Why this is exact.  The allowance is _ROUNDING (64 epsilon) times
+Why the skip is exact.  The allowance is _ROUNDING (64 epsilon) times
 S_i = max|v|^2 |gh_i|^2 + 2 |gh_i| max|v| (|T| + |t_i|), which bounds the
 terms of element i's scores at total T.  A computed score, however its
 three products and the complex product q inside it are ordered or fused,
 lies within 5 epsilon S_i of the exact one, so two computations of a score
 difference differ by at most 20 epsilon S_i, under a third of the
 allowance.  So an element skipped here could not have shown an improvement
-to a scan that scored it, and a decision whose best two scores lie more
-than the allowance apart names the same entry however they were rounded:
-the walk's Python floats, the matrix product of a fixpoint pass, numpy's
-array complex multiply (which may use fused multiply-adds) all agree.  When
-the best two lie within the allowance, the walk and the fixpoint both take
-the decision with the block scan's numpy expression at the element's exact
-alpha, rounded as numpy rounds it.  The total moves by Python complex
-products, which round like numpy's scalar ones and like a pass's real
-products: all use the four-multiply formula without fused operations.
+to a walk that scored it.  Every element the walk scores is decided at its
+exact alpha by one numpy expression, the one the tests' per-element loop
+uses, and the total moves by Python complex products, which round like
+numpy's scalar ones: both use the four-multiply formula without fused
+operations.  numpy's array complex multiply may fuse multiply-adds on some
+CPUs, so an exact tie between entries is decided the same on every rerun
+but may be decided differently on another machine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -134,14 +117,10 @@ class OptimizerReport:
 _MAX_SWEEPS = 100
 
 # The certified-skip scan (module docstring): elements per round, the drift
-# budget in typical single-update moves, the rounding allowance factor, the
-# fixpoint passes a dense round may take and the fewest elements a pass
-# takes on.
+# budget in typical single-update moves and the rounding allowance factor.
 _WINDOW = 512
 _DRIFT_STEPS = 4.0
 _ROUNDING = 64 * np.finfo(float).eps
-_FIXPOINT_PASSES = 8
-_FIXPOINT_MIN = 64
 _ROWS = np.arange(_WINDOW)
 _NEG = -math.inf
 
@@ -342,7 +321,6 @@ class _Scan:
         # entry's coefficients of |gh|^2, Re q and Im q, and a window's rows
         # [|gh|^2, Re q, Im q] for scores() to multiply them with
         self.coef = np.stack([self.value_abs2, 2.0 * values.real, -2.0 * values.imag], axis=1)
-        self.entries = self.coef.tolist()
         self.x = np.empty((_WINDOW, 3))
 
     def ascend(self) -> tuple[list[float], list[int], bool]:
@@ -400,124 +378,49 @@ class _Scan:
         scores = self.scores(w, now - self.terms[w])
         own = scores[cur, rows]
         scores[cur, rows] = _NEG
-        margin = scores.max(0) - own
-        base = margin + self.allow[w] + self.slope[w] * abs(now)
+        base = scores.max(0) - own + self.allow[w] + self.slope[w] * abs(now)
         cand = np.flatnonzero(base + self.k[w] * self.budget >= 0)
         if 4 * cand.size > stop - start:
-            guess = np.where(margin > 0, scores.argmax(0), cur)
-            now, updates = self.settle(start, stop, now, guess)
-            return stop, now, updates
+            return self.walk(rows + start, now, base.tolist(), math.inf, stop)
         return self.walk(cand + start, now, base[cand].tolist(), self.budget, stop)
 
-    def walk(self, cand: np.ndarray, now: complex, base, limit: float, stop: int) -> tuple[int, complex, int]:
-        """Rescore the candidates in order with Python floats, each against
-        the current total.  One is skipped unscored while base + k drift < 0,
-        drift = |now - origin|; an update that takes the drift past `limit`
-        ends the round after it.  Returns as round() does."""
-        idx, entries, values_list = self.idx, self.entries, self.values_list
+    def walk(self, cand: np.ndarray, now: complex, base: list[float], limit: float, stop: int) -> tuple[int, complex, int]:
+        """Decide the candidates in order, each against the current total.
+        One is skipped unscored while base + k drift < 0, drift = |now -
+        origin|; an update that takes the drift past `limit` ends the round
+        after it.  Returns as round() does."""
+        idx, values_list = self.idx, self.values_list
         origin = now
-        size = abs(now)
         drift = 0.0
         updates = 0
-        for j, current, t_j, gh_j, g2_j, tol, slope_j, base_j, k_j in zip(
+        for j, current, t_j, gh_j, base_j, k_j in zip(
             cand.tolist(),
             idx[cand].tolist(),
             self.terms[cand].tolist(),
             self.gh[cand].tolist(),
-            self.gh_abs2[cand].tolist(),
-            self.allow[cand].tolist(),
-            self.slope[cand].tolist(),
             base,
             self.k[cand].tolist(),
         ):
             if base_j + k_j * drift < 0:
                 continue
             alpha = now - t_j
-            q = gh_j * alpha.conjugate()
-            qr, qi = q.real, q.imag
-            s = [a * g2_j + (r * qr + i * qi) for a, r, i in entries]
-            top = max(s)
-            best = s.index(top)
-            s[best] = _NEG
-            if max(s) >= top - tol - slope_j * size:
-                best = self.tie_break(j, alpha, current)
+            best = self.decide(j, alpha, current)
             if best == current:
                 continue
             idx[j] = best
             now = alpha + gh_j * values_list[best]
-            size = abs(now)
             updates += 1
             drift = abs(now - origin)
             if drift > limit:
                 return j + 1, now, updates
         return stop, now, updates
 
-    def tie_break(self, j: int, alpha: complex, current: int) -> int:
-        """Element j's decision at alpha from the block expression, rounded
-        as numpy rounds it: for best two scores within the allowance."""
-        values = self.values
-        exact = self.value_abs2 * self.gh_abs2[j] + 2.0 * (values * self.gh[j] * np.conj(alpha)).real
-        return int(np.argmax(exact)) if exact.max() > exact[current] else current
-
-    def settle(self, start: int, stop: int, now: complex, guess: np.ndarray) -> tuple[complex, int]:
-        """A dense round by fixpoint passes from the guessed decisions, each
-        committing the elements up to its first changed decision.  After
-        _FIXPOINT_PASSES passes, or once fewer than _FIXPOINT_MIN elements
-        are left, the rest is walked.  Returns the total and the updates."""
-        updates = 0
-        for _ in range(_FIXPOINT_PASSES):
-            if stop - start < _FIXPOINT_MIN:
-                break
-            decided, end, alpha = self.redecide(start, stop, now, guess)
-            n = end - start
-            changed = np.flatnonzero(decided[:n] != self.idx[start:end])
-            if changed.size:
-                self.idx[start:end] = decided[:n]
-                u = int(changed[-1])
-                now = complex(alpha[u]) + self.gh[start + u].item() * self.values_list[decided[u]]
-                updates += changed.size
-            if end == stop:
-                return now, updates
-            start, guess = end, decided[n:]
-        _, now, walked = self.walk(_ROWS[: stop - start] + start, now, repeat(math.inf), math.inf, stop)
-        return now, updates + walked
-
-    def redecide(self, start: int, stop: int, now: complex, guess: np.ndarray):
-        """One fixpoint pass over elements start..stop-1 from total `now`:
-        each element is decided at the total the walk would give it if every
-        earlier element took its guessed decision.  Returns the decisions,
-        the end of the prefix that is certain (it ends just after the first
-        decision that differs from the guess) and each element's alpha."""
-        w = slice(start, stop)
-        rows = _ROWS[: stop - start]
-        upd = np.flatnonzero(guess != self.idx[w])
-        j = upd + start
-        # the totals after each guessed update, [T0, -t_1, p_1, -t_2, p_2, ...]
-        # added in order; p = gh v from real products, as Python forms it
-        seq = np.empty(2 * upd.size + 1, dtype=complex)
-        seq[0] = now
-        np.negative(self.terms[j], out=seq[1::2])
-        g, v = self.gh[j], self.values[guess[upd]]
-        p = seq[2::2]
-        p.real = g.real * v.real - g.imag * v.imag
-        p.imag = g.real * v.imag + g.imag * v.real
-        np.add.accumulate(seq, out=seq)
-        totals = seq[2 * np.searchsorted(upd, rows)]
-        alpha = totals - self.terms[w]
-        scores = self.scores(w, alpha)
-        decided = scores.argmax(0)
-        gap = scores[decided, rows]
-        scores[decided, rows] = _NEG
-        gap -= scores.max(0)
-        tie = gap <= self.allow[w] + self.slope[w] * np.abs(totals)
-        first = stop - start - 1
-        for r in np.flatnonzero((decided != guess) | tie).tolist():
-            if tie[r]:
-                decided[r] = self.tie_break(start + r, complex(alpha[r]), int(self.idx[start + r]))
-            if decided[r] != guess[r]:
-                first = r
-                break
-        return decided, start + first + 1, alpha
+    def decide(self, j: int, alpha: complex, current: int) -> int:
+        """Element j's decision at alpha: the first best entry, kept at
+        `current` unless that strictly improves on it."""
+        exact = self.value_abs2 * self.gh_abs2[j] + 2.0 * (self.values * self.gh[j] * np.conj(alpha)).real
+        best = int(exact.argmax())
+        return best if exact[best] > exact[current] else current
 
 
 def optimize_alternating(

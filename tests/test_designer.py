@@ -306,10 +306,11 @@ class TestAlternatingOptimizer:
             assert received_power(pair, config) <= p_uacp * (1 + 1e-12)
 
 
-# Seeds of the oracle batch.  On 127 and 142 some tie is decided differently
-# by the scalar rescoring's rounding than by the block expression's, so they
-# fail if the scan does not hand such ties to it.
-BATCH_SEEDS = range(400)
+# Seeds of the oracle batch: the first 400 (CI runs up to 3,000), and 544 and
+# 790.  On those two, deciding with Python floats instead of the per-element
+# loop's numpy expression changes a tie's decision (x86-64, numpy 2.4.6), as
+# on 10 more of the 3,000 seeds and none of the first 400.
+BATCH_SEEDS = [*range(400), 544, 790]
 
 
 def _batch_instance(seed):
@@ -440,32 +441,16 @@ class TestBlockScanOracle:
         assert first == (list(range(101, 107)), 5, 5)
         assert second[0][0] == 101 and second[2] == 1
 
-class _CountingEntries(list):
-    """A scan's entry table that counts the rescores iterating over it."""
-
-    def __init__(self, rows, spy):
-        super().__init__(rows)
-        self.spy = spy
-
-    def __iter__(self):
-        self.spy.rescores += 1
-        return super().__iter__()
-
 
 class _ScanSpy:
     """What the optimizer's scan did: each walk as (candidates, rescores,
-    updates), each dense round as [passes, tie breaks inside a pass]."""
+    updates), a rescore being one call of decide."""
 
     def __init__(self, monkeypatch):
-        self.walks, self.dense, self.rescores = [], [], 0
-        self.in_pass = False
+        self.walks, self.rescores = [], 0
         scan = designer._Scan
-        init, walk, settle, redecide, tie_break = scan.__init__, scan.walk, scan.settle, scan.redecide, scan.tie_break
+        walk, decide = scan.walk, scan.decide
         spy = self
-
-        def spy_init(self, *args):
-            init(self, *args)
-            self.entries = _CountingEntries(self.entries, spy)
 
         def spy_walk(self, cand, *args):
             before = spy.rescores
@@ -473,25 +458,12 @@ class _ScanSpy:
             spy.walks.append((cand.tolist(), spy.rescores - before, out[2]))
             return out
 
-        def spy_settle(self, *args):
-            spy.dense.append([0, 0])
-            return settle(self, *args)
+        def spy_decide(self, *args):
+            spy.rescores += 1
+            return decide(self, *args)
 
-        def spy_redecide(self, *args):
-            spy.dense[-1][0] += 1
-            spy.in_pass = True
-            try:
-                return redecide(self, *args)
-            finally:
-                spy.in_pass = False
-
-        def spy_tie_break(self, *args):
-            spy.dense[-1][1] += spy.in_pass
-            return tie_break(self, *args)
-
-        for name, fn in [("__init__", spy_init), ("walk", spy_walk), ("settle", spy_settle),
-                         ("redecide", spy_redecide), ("tie_break", spy_tie_break)]:
-            monkeypatch.setattr(scan, name, fn)
+        monkeypatch.setattr(scan, "walk", spy_walk)
+        monkeypatch.setattr(scan, "decide", spy_decide)
 
 
 @pytest.fixture
@@ -534,19 +506,36 @@ def _chain(n, total=10.0, size=1.0):
     return np.array(gh)
 
 
-class TestDenseRounds:
-    """The fixpoint of dense rounds makes the walk's decisions exactly."""
+# the benchmark's near-alphabet designs: (alphabet, target angle)
+NEAR_DESIGNS = [("varactor5g", t) for t in (30.0, 45.0, 75.0)] + [("omni3p6", t) for t in (45.0, 75.0)]
 
-    def test_multi_window_rounds_take_several_passes(self, scan_spy):
+
+def _near_scenario(name, target):
+    alph = builtin(name)
+    return Scenario(
+        alph.nominal_frequency, DesignCriterion.from_alphabet(alph), target,
+        pitch_divisor=4, field_regime="near", near_radius=5.0,
+    )
+
+
+def _near_pair(s):
+    """The channel pair that design_scenario designs near scenario s for."""
+    geom, wave = s.geometry(), s.wave
+    tx = Terminal(rx_arc_position(far_field_radius(geom, wave), 0.0))
+    return ChannelPair.compute(geom, wave, tx, Terminal(rx_arc_position(s.near_radius, s.target_angle)))
+
+
+class TestDenseRounds:
+    """A round with more than a quarter of its window as candidates walks
+    the whole window and makes the per-element loop's decisions exactly."""
+
+    def test_multi_window_rounds(self):
         n, m, tx, rx, alph, _, _ = ORACLE_CASES["over-1024"]
         _matches_reference(make_pair(n, m, tx=tx, rx=rx, d=0.02), builtin(alph))
-        passes = [p for p, _ in scan_spy.dense]
-        assert len(passes) >= 3
-        assert max(passes) >= 3
 
-    def test_exact_ties_reach_the_numpy_expression(self, scan_spy):
+    def test_exact_ties_reach_the_numpy_expression(self):
         # eighth-turn gh and the 8-level alphabet: some element's best two
-        # entries tie exactly inside a fixpoint pass
+        # entries tie exactly
         rng = np.random.default_rng(13)
         g = rng.integers(1, 3, (8, 8)) * np.exp(0.25j * np.pi * rng.integers(0, 8, (8, 8)))
         pair = replace(make_pair(8, 8), g=g, h=np.ones((8, 8), dtype=complex))
@@ -554,24 +543,35 @@ class TestDenseRounds:
         idx0 = rng.integers(0, 8, size=(8, 8))
         init = SurfaceConfig(alph.values[idx0], DesignCriterion.from_alphabet(alph), alphabet_indices=idx0)
         _matches_reference(pair, alph, init)
-        assert sum(ties for _, ties in scan_spy.dense) >= 1
 
-    def test_chain_of_updates_stays_within_the_pass_bound(self, scan_spy, monkeypatch):
-        # every update changes the next element's decision, so each pass
-        # commits about one element; without the bound the first round takes
-        # most of the 200 passes
+    def test_chain_of_updates(self):
+        # every update changes the next element's decision
         gh = _chain(200)
         pair = replace(make_pair(1, 200), g=gh.reshape(1, -1), h=np.ones((1, 200), dtype=complex))
-        alph = uadp_set(2)
-        report = _matches_reference(pair, alph)
+        report = _matches_reference(pair, uadp_set(2))
         assert report.updates_per_sweep[0] == 199
-        assert scan_spy.dense[0][0] == designer._FIXPOINT_PASSES
-        assert all(p <= designer._FIXPOINT_PASSES for p, _ in scan_spy.dense)
-        assert scan_spy.walks[0][0] == list(range(designer._FIXPOINT_PASSES + 1, 200))
-        monkeypatch.setattr(designer, "_FIXPOINT_PASSES", 1000)
-        scan_spy.dense.clear()
-        _matches_reference(pair, alph)
-        assert scan_spy.dense[0][0] > 100
+
+    def test_certifying_sweep_of_a_small_default_start(self, scan_spy):
+        # a 13 x 13 near design of the benchmark's CLI mix: at its optimum
+        # start more than a quarter of the window pass the skip test, so the
+        # certifying sweep is one dense round, with no update
+        alph = builtin("varactor5g")
+        s = Scenario(
+            6.203374759e9, DesignCriterion.from_alphabet(alph), -66.2772, pitch_divisor=2.3882372899703794,
+            aperture=0.27318004844012655, field_regime="near", near_radius=2.5602,
+        )
+        pair = _near_pair(s)
+        assert pair.g.shape == (13, 13)
+        config, report = optimize_alternating(pair, alph)
+        assert report.updates_per_sweep == [0] and report.converged
+        assert scan_spy.walks[0][0] == list(range(169))
+        idx0 = designer._alphabet_optimum((pair.g * pair.h).ravel(), alph.values).reshape(13, 13)
+        start = SurfaceConfig(alph.values[idx0], DesignCriterion.from_alphabet(alph), alphabet_indices=idx0)
+        idx, trace, per_sweep, converged = _reference_alternating(pair, alph, start)
+        assert np.array_equal(config.alphabet_indices, idx)
+        assert report.objective_trace == trace
+        assert report.updates_per_sweep == per_sweep
+        assert report.converged == converged
 
 
 class TestUpdatesPerSweep:
@@ -615,10 +615,6 @@ def _optimum_objective(gh, values):
     return abs(np.sum(gh * values[designer._alphabet_optimum(gh, values)])) ** 2
 
 
-# the benchmark's near-alphabet designs: (alphabet, target angle)
-NEAR_DESIGNS = [("varactor5g", t) for t in (30.0, 45.0, 75.0)] + [("omni3p6", t) for t in (45.0, 75.0)]
-
-
 class TestAlphabetOptimum:
     """The default start, the breakpoint sweep's exact optimum."""
 
@@ -655,14 +651,8 @@ class TestAlphabetOptimum:
 
     @pytest.mark.parametrize("name, target", NEAR_DESIGNS)
     def test_near_designs_reach_at_least_the_cold_start_ascent(self, name, target):
-        alph = builtin(name)
-        s = Scenario(
-            alph.nominal_frequency, DesignCriterion.from_alphabet(alph), target,
-            pitch_divisor=4, field_regime="near", near_radius=5.0,
-        )
-        geom, wave = s.geometry(), s.wave
-        tx = Terminal(rx_arc_position(far_field_radius(geom, wave), 0.0))
-        pair = ChannelPair.compute(geom, wave, tx, Terminal(rx_arc_position(5.0, target)))
+        s = _near_scenario(name, target)
+        pair, alph = _near_pair(s), s.criterion.alphabet
         _, cold = optimize_alternating(pair, alph, cold_start(pair, alph))
         config, report = optimize_alternating(pair, alph)
         assert report.objective_trace[0] >= cold.objective_trace[-1]
