@@ -548,9 +548,15 @@ def _received_powers(
     y = _columns(geom, np.append(rx_positions[:, 1], tx.position[1]))
     ill = _illuminate(geom, wave, tx, geom.x_centers, y)
     gamma_y = _fold(gamma) if len(y) < geom.n_cols else gamma
-    weight = gamma_y * (ill.re - 2j * ill.im_half) * (geom.pitch_x * geom.pitch_y / FOUR_PI**2)
-    w = np.stack([weight.real, weight.imag])
-    del gamma_y, weight  # only the real pair stays alive while the sweep runs
+    # the real pair of gamma (re - 2j im_half) c, built in place: no complex
+    # temporary, and one float temporary at a time
+    w = np.empty((2, *gamma_y.shape))
+    np.multiply(gamma_y.imag, 2.0 * ill.im_half, out=w[1])
+    np.add(gamma_y.real * ill.re, w[1], out=w[0])
+    np.multiply(gamma_y.real, -2.0 * ill.im_half, out=w[1])
+    w[1] += gamma_y.imag * ill.re
+    w *= geom.pitch_x * geom.pitch_y / FOUR_PI**2
+    del gamma_y  # only the real pair stays alive while the sweep runs
     if len(rx_positions) > 2 * _chunk_shape(geom.n_rows, geom.n_cols)[0]:
         power = _node_powers(geom, wave, tx, ill, w, rx_positions, p_tx, meta)
         if power is not None:

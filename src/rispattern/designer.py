@@ -31,23 +31,18 @@ The walk of one element at a time that this describes is the reference;
 the optimizer makes the same decisions but scores fewer elements.
 
 Most visits change nothing, and the optimizer proves that rather than
-scoring them: a certified-skip scan.  Element i, holding entry m, improves
+deciding them: a certified-skip scan.  Element i, holding entry m, improves
 only if its margin (the best alternative's score minus the current score)
-is positive.  When the total moves by Delta, that margin moves by at most
-c_i |Delta|, with c_i = 2 |g_i h_i| max_l |v_l - v_m|.  A round starts at an
-element with total T0 and scores the next _WINDOW elements against T0 with
-one matrix product, the (L x 3) coefficients of each entry's score times
-each element's [|gh|^2, Re q, Im q], q = gh conj(alpha).  An element whose
-margin + c_i D + allowance is negative cannot improve while |T - T0| <= D,
-the round's drift budget of _DRIFT_STEPS typical single-update moves, so it
-is skipped unscored.  The others are decided in order against the current
-total, but the walk still skips one unscored if its margin + c_i delta +
-allowance is negative at the drift delta = |T - T0| <= D that it has
-reached.  An update that takes the drift past D ends the round, and the next
-one starts just after that element.  If more than a quarter of a window are
-candidates, as in a first sweep from a cold start, the round is dense: the
-walk takes the whole window with no budget, skipping by the same test at
-whatever drift it has reached.
+is positive.  A round starts at an element with the current total T and
+screens the elements from there to the end of its block, the aligned run of
+_WINDOW elements that it lies in, against T with one matrix product: the
+(L x 3) coefficients of each entry's score times each element's [|gh|^2,
+Re q, Im q], q = gh conj(alpha).  An element whose screened margin plus a
+rounding allowance is negative is skipped; the others are decided in order.
+The round ends at its first update, and the next one starts just after that
+element against the moved total; a round without an update ends at its
+block's end.  So every element is screened at the exact total that it would
+be decided against, and a sweep without an update is one screen per block.
 
 Why the skip is exact.  The allowance is _ROUNDING (64 epsilon) times
 S_i = max|v|^2 |gh_i|^2 + 2 |gh_i| max|v| (|T| + |t_i|), which bounds the
@@ -56,9 +51,9 @@ three products and the complex product q inside it are ordered or fused,
 lies within 5 epsilon S_i of the exact one, so two computations of a score
 difference differ by at most 20 epsilon S_i, under a third of the
 allowance.  So an element skipped here could not have shown an improvement
-to a walk that scored it.  Every element the walk scores is decided at its
-exact alpha by one numpy expression, the one the tests' per-element loop
-uses, and the total moves by Python complex products, which round like
+to the decision that it skips.  Every element the scan decides is decided
+at its exact alpha by one numpy expression, the one the tests' per-element
+loop uses, and the total moves by Python complex products, which round like
 numpy's scalar ones: both use the four-multiply formula without fused
 operations.  numpy's array complex multiply may fuse multiply-adds on some
 CPUs, so an exact tie between entries is decided the same on every rerun
@@ -116,13 +111,10 @@ class OptimizerReport:
 # _MAX_SWEEPS sweeps.
 _MAX_SWEEPS = 100
 
-# The certified-skip scan (module docstring): elements per round, the drift
-# budget in typical single-update moves and the rounding allowance factor.
+# The certified-skip scan (module docstring): elements per block and the
+# rounding allowance factor.
 _WINDOW = 512
-_DRIFT_STEPS = 4.0
 _ROUNDING = 64 * np.finfo(float).eps
-_ROWS = np.arange(_WINDOW)
-_NEG = -math.inf
 
 # The most breakpoints one sector of the optimum's sweep gathers, unless they
 # fall on one angle (at most one per element there).
@@ -307,21 +299,16 @@ class _Scan:
         self.values_list = values.tolist()
         self.value_abs2 = np.abs(values) ** 2
         self.gh_abs2 = np.abs(gh) ** 2
-        self.g_abs = np.abs(gh)
-        # spread[m] = max_l |v_l - v_m| bounds how fast the score differences
-        # of an element holding entry m move with the total; the drift budget
-        # is a few typical single-update steps
-        self.spread = np.abs(values - values[:, None]).max(axis=1)
-        self.budget = _DRIFT_STEPS * float(np.mean(self.g_abs)) * float(self.spread.max())
         # rounding allowance = fixed |gh|^2 + slope (|total| + |term|)
         v_max = float(np.abs(values).max())
         self.fixed = _ROUNDING * v_max**2
-        self.slope = (_ROUNDING * 2.0 * v_max) * self.g_abs
+        self.slope = (_ROUNDING * 2.0 * v_max) * np.abs(gh)
         # score_l = |v_l|^2 |gh|^2 + 2 Re(v_l q) with q = gh conj(alpha): each
-        # entry's coefficients of |gh|^2, Re q and Im q, and a window's rows
+        # entry's coefficients of |gh|^2, Re q and Im q, and a block's rows
         # [|gh|^2, Re q, Im q] for scores() to multiply them with
         self.coef = np.stack([self.value_abs2, 2.0 * values.real, -2.0 * values.imag], axis=1)
         self.x = np.empty((_WINDOW, 3))
+        self.rows = np.arange(_WINDOW)
 
     def ascend(self) -> tuple[list[float], list[int], bool]:
         """Sweep until a sweep changes no element, or for _MAX_SWEEPS
@@ -335,8 +322,8 @@ class _Scan:
             now = complex(total)
             start = 0
             while start < self.idx.size:
-                start, now, count = self.round(start, now)
-                updates += count
+                start, now, updated = self.round(start, now)
+                updates += updated
             updates_per_sweep.append(updates)
             total = self.new_sweep()
             trace.append(abs(total) ** 2)
@@ -346,74 +333,46 @@ class _Scan:
 
     def new_sweep(self) -> complex:
         """Recompute every term from the indices, which caps incremental
-        rounding drift, and set what stays fixed within a sweep, as a round
-        only reaches elements not yet visited: each element's allowance and
-        k.  Returns the total."""
+        rounding drift, and each element's allowance, which stays fixed
+        within a sweep as a round only reaches elements not yet visited.
+        Returns the total."""
         # gh * gamma, not gh * values[idx]: numpy may compute a product with
         # a large temporary in place with the operands swapped, and its fused
         # complex multiply rounds differently with them swapped
         gamma = self.values[self.idx]
         self.terms = self.gh * gamma
         self.allow = self.fixed * self.gh_abs2 + self.slope * np.abs(self.terms)
-        # margin + allowance at |T0| + k delta bounds the margin anywhere
-        # within delta of T0: k = c_i + slope, c_i = 2 |gh_i| spread[m]
-        self.k = 2.0 * self.g_abs * self.spread[self.idx] + self.slope
         return np.sum(self.terms)
 
     def scores(self, w: slice, alpha: np.ndarray) -> np.ndarray:
-        """Every entry's score for the elements of window w at the given
-        alphas, (L x elements), from one matrix product."""
+        """Every entry's score for the elements of w at the given alphas,
+        (L x elements), from one matrix product."""
         x = self.x[: alpha.size]
         x[:, 0] = self.gh_abs2[w]
         x[:, 1:] = (self.gh[w] * alpha.conj()).view(float).reshape(-1, 2)
         return self.coef @ x.T
 
-    def round(self, start: int, now: complex) -> tuple[int, complex, int]:
-        """One round from element `start` at total `now`.  Returns where
-        the next round starts, the total and the number of updates."""
-        stop = min(start + _WINDOW, self.idx.size)
+    def round(self, start: int, now: complex) -> tuple[int, complex, bool]:
+        """One round from element `start` at total `now`: screen the rest of
+        start's block and decide, in order, the elements that pass, up to
+        the first update.  Returns where the next round starts, the total
+        and whether an element changed."""
+        stop = min((start // _WINDOW + 1) * _WINDOW, self.idx.size)
         w = slice(start, stop)
-        rows = _ROWS[: stop - start]
+        rows = self.rows[: stop - start]
         cur = self.idx[w]
         scores = self.scores(w, now - self.terms[w])
         own = scores[cur, rows]
-        scores[cur, rows] = _NEG
+        scores[cur, rows] = -math.inf
         base = scores.max(0) - own + self.allow[w] + self.slope[w] * abs(now)
-        cand = np.flatnonzero(base + self.k[w] * self.budget >= 0)
-        if 4 * cand.size > stop - start:
-            return self.walk(rows + start, now, base.tolist(), math.inf, stop)
-        return self.walk(cand + start, now, base[cand].tolist(), self.budget, stop)
-
-    def walk(self, cand: np.ndarray, now: complex, base: list[float], limit: float, stop: int) -> tuple[int, complex, int]:
-        """Decide the candidates in order, each against the current total.
-        One is skipped unscored while base + k drift < 0, drift = |now -
-        origin|; an update that takes the drift past `limit` ends the round
-        after it.  Returns as round() does."""
-        idx, values_list = self.idx, self.values_list
-        origin = now
-        drift = 0.0
-        updates = 0
-        for j, current, t_j, gh_j, base_j, k_j in zip(
-            cand.tolist(),
-            idx[cand].tolist(),
-            self.terms[cand].tolist(),
-            self.gh[cand].tolist(),
-            base,
-            self.k[cand].tolist(),
-        ):
-            if base_j + k_j * drift < 0:
-                continue
-            alpha = now - t_j
+        for j in ((base >= 0).nonzero()[0] + start).tolist():
+            current = int(self.idx[j])
+            alpha = now - complex(self.terms[j])
             best = self.decide(j, alpha, current)
-            if best == current:
-                continue
-            idx[j] = best
-            now = alpha + gh_j * values_list[best]
-            updates += 1
-            drift = abs(now - origin)
-            if drift > limit:
-                return j + 1, now, updates
-        return stop, now, updates
+            if best != current:
+                self.idx[j] = best
+                return j + 1, alpha + complex(self.gh[j]) * self.values_list[best], True
+        return stop, now, False
 
     def decide(self, j: int, alpha: complex, current: int) -> int:
         """Element j's decision at alpha: the first best entry, kept at

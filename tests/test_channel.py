@@ -426,19 +426,21 @@ class TestChunking:
         monkeypatch.setattr(channel, "_NODE_COUNTS", ())
         assert channel._chunk_shape(geom.n_rows, 200) == (1, 20)
         rows, powers = channel._Illumination.rows, channel._powers
-        blocks, peaks, kernel_peaks = [], [], []
+        blocks, peaks, inside, kernel_peaks = [], [], [], []
 
         def rows_spy(ill, sl):
             blocks.append((sl, len(ill.y)))
             return rows(ill, sl)
 
         def powers_spy(*args, **kwargs):
-            # the peak so far, then the kernel's own growth over its start
+            # the peak so far, then the kernel's peak and its own growth over
+            # its start
             start, peak = tracemalloc.get_traced_memory()
             peaks.append(peak)
             tracemalloc.reset_peak()
             out = powers(*args, **kwargs)
-            kernel_peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            inside.append(tracemalloc.get_traced_memory()[1])
+            kernel_peaks.append(inside[-1] - start)
             return out
 
         monkeypatch.setattr(channel._Illumination, "rows", rows_spy)
@@ -455,6 +457,8 @@ class TestChunking:
         assert blocks == [(slice(0, 20), 200), (slice(20, 40), 200)]
         assert max(peaks) <= block + 7 * 8 * geom.n_elements
         assert kernel_peaks[0] <= 1.5 * block
+        # the weight pair's set-up takes no more memory than the sweep
+        assert peaks[0] <= inside[0]
 
 
 def _far(criterion, target, pitch_divisor, frequency, aperture=1.0, **kw):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -367,23 +368,36 @@ ORACLE_CASES = {
 }
 
 
+@functools.cache
+def _oracle_case(case):
+    """ORACLE_CASES[case] as (pair, alphabet, start, sweep cap) and the
+    per-element loop's result there, computed once for both block sizes."""
+    n, m, tx, rx, alph, random_start, max_sweeps = ORACLE_CASES[case]
+    alph = builtin(alph) if isinstance(alph, str) else alph
+    pair = make_pair(n, m, tx=tx, rx=rx, d=0.02)
+    init = cold_start(pair, alph)
+    if random_start:
+        rng = np.random.default_rng(sum(map(ord, case)))
+        idx0 = rng.integers(0, len(alph.values), size=(n, m))
+        init = SurfaceConfig(alph.values[idx0], DesignCriterion.from_alphabet(alph), alphabet_indices=idx0)
+    return pair, alph, init, max_sweeps, _reference_alternating(pair, alph, init, max_sweeps)
+
+
+@functools.cache
+def _batch_case(seed):
+    """Batch instance `seed` and the per-element loop's result there,
+    computed once for both block sizes."""
+    pair, alph, init = _batch_instance(seed)
+    return pair, alph, init, _reference_alternating(pair, alph, init)
+
+
 class TestBlockScanOracle:
     """The certified-skip scan makes the per-element loop's decisions exactly."""
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_matches_per_element_loop(self, monkeypatch, case):
-        n, m, tx, rx, alph, random_start, max_sweeps = ORACLE_CASES[case]
+        pair, alph, init, max_sweeps, (idx, trace, per_sweep, converged) = _oracle_case(case)
         monkeypatch.setattr(designer, "_MAX_SWEEPS", max_sweeps)
-        alph = builtin(alph) if isinstance(alph, str) else alph
-        pair = make_pair(n, m, tx=tx, rx=rx, d=0.02)
-        init = cold_start(pair, alph)
-        if random_start:
-            rng = np.random.default_rng(sum(map(ord, case)))
-            idx0 = rng.integers(0, len(alph.values), size=(n, m))
-            init = SurfaceConfig(
-                alph.values[idx0], DesignCriterion.from_alphabet(alph), alphabet_indices=idx0
-            )
-        idx, trace, per_sweep, converged = _reference_alternating(pair, alph, init, max_sweeps)
         config, report = optimize_alternating(pair, alph, init)
         assert np.array_equal(config.alphabet_indices, idx)
         assert report.objective_trace == trace
@@ -403,66 +417,45 @@ class TestBlockScanOracle:
 
     @pytest.mark.parametrize("seed", BATCH_SEEDS)
     def test_random_batch_matches_per_element_loop(self, seed):
-        pair, alph, init = _batch_instance(seed)
-        idx, trace, per_sweep, converged = _reference_alternating(pair, alph, init)
+        pair, alph, init, (idx, trace, per_sweep, converged) = _batch_case(seed)
         config, report = optimize_alternating(pair, alph, init)
         assert np.array_equal(config.alphabet_indices, idx)
         assert report.objective_trace == trace
         assert report.updates_per_sweep == per_sweep
         assert report.converged == converged
 
-    def test_margin_just_inside_drift_budget(self, scan_spy):
-        # gh in row-major order: 100 bulk elements, then c, b, four elements
-        # a and b again, all starting at entry 0 of the binary alphabet.  The
-        # a's turn over in one round and move the total by 8j in all; b's
-        # margin against the round's starting total is -0.96 of its reach
-        # over the drift budget, and the move makes it improvable.  So the
-        # first b is a candidate skipped at drift 0, and the second, at drift
-        # 8, must be rescored although its margin was negative.
-        b = 0.0255 - 0.3j
-        gh = np.concatenate([np.ones(100), [1 + 5j, b], np.full(4, -1j), [b]])
-        pair = replace(make_pair(1, 107), g=gh.reshape(1, -1), h=np.ones((1, 107), dtype=complex))
-        alph = uadp_set(2)
-        idx, trace, per_sweep, converged = _reference_alternating(pair, alph)
-        total = np.sum(gh * alph.values[0])
-        alpha = total - b * alph.values[0]
-        margin = 2.0 * np.real((alph.values[1] - alph.values[0]) * b * np.conj(alpha))
-        reach = 2.0 * abs(b) * abs(alph.values[1] - alph.values[0])
-        budget = designer._DRIFT_STEPS * np.mean(np.abs(gh)) * abs(alph.values[1] - alph.values[0])
-        assert -1.0 < margin / (reach * budget) < -0.9
-        assert idx.ravel()[-7:].tolist() == [0, 1, 1, 1, 1, 1, 1]
-        config, report = optimize_alternating(pair, alph, cold_start(pair, alph))
-        assert np.array_equal(config.alphabet_indices, idx)
-        assert report.objective_trace == trace
-        assert report.updates_per_sweep == per_sweep == [5, 1, 0]
-        # sweep 1 walks all six candidates and rescores all but the first b;
-        # sweep 2 rescores that b, now improvable, and updates it
-        first, second = scan_spy.walks[:2]
-        assert first == (list(range(101, 107)), 5, 5)
-        assert second[0][0] == 101 and second[2] == 1
+
+class TestBlocksOfSeven(TestBlockScanOracle):
+    """The oracle cases and batch again in blocks of 7 elements, so that
+    nearly every instance takes several blocks and ends rounds inside
+    them."""
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_seven(self, monkeypatch):
+        monkeypatch.setattr(designer, "_WINDOW", 7)
 
 
 class _ScanSpy:
-    """What the optimizer's scan did: each walk as (candidates, rescores,
-    updates), a rescore being one call of decide."""
+    """What the optimizer's scan did: each round as (start, the elements it
+    decided, where the next round starts, whether an element changed)."""
 
     def __init__(self, monkeypatch):
-        self.walks, self.rescores = [], 0
+        self.rounds, self.decided = [], []
         scan = designer._Scan
-        walk, decide = scan.walk, scan.decide
+        round_, decide = scan.round, scan.decide
         spy = self
 
-        def spy_walk(self, cand, *args):
-            before = spy.rescores
-            out = walk(self, cand, *args)
-            spy.walks.append((cand.tolist(), spy.rescores - before, out[2]))
+        def spy_round(self, start, now):
+            spy.decided = []
+            out = round_(self, start, now)
+            spy.rounds.append((start, spy.decided, out[0], out[2]))
             return out
 
-        def spy_decide(self, *args):
-            spy.rescores += 1
-            return decide(self, *args)
+        def spy_decide(self, j, *args):
+            spy.decided.append(j)
+            return decide(self, j, *args)
 
-        monkeypatch.setattr(scan, "walk", spy_walk)
+        monkeypatch.setattr(scan, "round", spy_round)
         monkeypatch.setattr(scan, "decide", spy_decide)
 
 
@@ -525,9 +518,9 @@ def _near_pair(s):
     return ChannelPair.compute(geom, wave, tx, Terminal(rx_arc_position(s.near_radius, s.target_angle)))
 
 
-class TestDenseRounds:
-    """A round with more than a quarter of its window as candidates walks
-    the whole window and makes the per-element loop's decisions exactly."""
+class TestRounds:
+    """Rounds that end at their first update make the per-element loop's
+    decisions exactly."""
 
     def test_multi_window_rounds(self):
         n, m, tx, rx, alph, _, _ = ORACLE_CASES["over-1024"]
@@ -544,6 +537,40 @@ class TestDenseRounds:
         init = SurfaceConfig(alph.values[idx0], DesignCriterion.from_alphabet(alph), alphabet_indices=idx0)
         _matches_reference(pair, alph, init)
 
+    def test_an_update_ends_the_round(self, scan_spy):
+        # gh in row-major order: 100 bulk elements, then c, b, four elements
+        # a and b again, all starting at entry 0 of the binary alphabet.  The
+        # a's turn over and move the total by 8j in all, which makes b
+        # improvable: its margin is negative at the sweep's starting total
+        # and positive after the a's.  So sweep 1 skips the first b and
+        # decides the second in a round that starts after the last a's
+        # update, screened against the moved total.
+        b = 0.0255 - 0.3j
+        gh = np.concatenate([np.ones(100), [1 + 5j, b], np.full(4, -1j), [b]])
+        pair = replace(make_pair(1, 107), g=gh.reshape(1, -1), h=np.ones((1, 107), dtype=complex))
+        alph = uadp_set(2)
+        idx, trace, per_sweep, converged = _reference_alternating(pair, alph)
+        total = np.sum(gh * alph.values[0])
+        step = alph.values[1] - alph.values[0]
+        margin = [2.0 * np.real(step * b * np.conj(t - b * alph.values[0])) for t in (total, total + 8j)]
+        assert margin[0] < 0 < margin[1]
+        assert idx.ravel()[-7:].tolist() == [0, 1, 1, 1, 1, 1, 1]
+        config, report = optimize_alternating(pair, alph, cold_start(pair, alph))
+        assert np.array_equal(config.alphabet_indices, idx)
+        assert report.objective_trace == trace
+        assert report.converged == converged
+        assert report.updates_per_sweep == per_sweep == [5, 1, 0]
+        # sweep 1: each a's update ends its round, then the second b's round;
+        # sweep 2 decides the first b, now improvable, and updates it
+        assert scan_spy.rounds[:6] == [
+            (0, [102], 103, True),
+            (103, [103], 104, True),
+            (104, [104], 105, True),
+            (105, [105], 106, True),
+            (106, [106], 107, True),
+            (0, [101], 102, True),
+        ]
+
     def test_chain_of_updates(self):
         # every update changes the next element's decision
         gh = _chain(200)
@@ -552,9 +579,9 @@ class TestDenseRounds:
         assert report.updates_per_sweep[0] == 199
 
     def test_certifying_sweep_of_a_small_default_start(self, scan_spy):
-        # a 13 x 13 near design of the benchmark's CLI mix: at its optimum
-        # start more than a quarter of the window pass the skip test, so the
-        # certifying sweep is one dense round, with no update
+        # a 13 x 13 near design of the benchmark's CLI mix: the certifying
+        # sweep at its optimum start is one round over one block that
+        # decides no element
         alph = builtin("varactor5g")
         s = Scenario(
             6.203374759e9, DesignCriterion.from_alphabet(alph), -66.2772, pitch_divisor=2.3882372899703794,
@@ -564,7 +591,7 @@ class TestDenseRounds:
         assert pair.g.shape == (13, 13)
         config, report = optimize_alternating(pair, alph)
         assert report.updates_per_sweep == [0] and report.converged
-        assert scan_spy.walks[0][0] == list(range(169))
+        assert scan_spy.rounds == [(0, [], 169, False)]
         idx0 = designer._alphabet_optimum((pair.g * pair.h).ravel(), alph.values).reshape(13, 13)
         start = SurfaceConfig(alph.values[idx0], DesignCriterion.from_alphabet(alph), alphabet_indices=idx0)
         idx, trace, per_sweep, converged = _reference_alternating(pair, alph, start)
