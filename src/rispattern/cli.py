@@ -118,12 +118,12 @@ def cmd_run(args) -> int:
     names = [f"interference_{theta:+g}deg.csv" for theta in scenario.interferer_angles]
     if len(set(names)) < len(names):
         raise ValueError(f"interferer angles {list(scenario.interferer_angles)} share output file names {names}")
-    with _os_errors(f"cannot write {args.out}"):
-        os.makedirs(args.out, exist_ok=True)
-
     t0 = time.perf_counter()
     result = _design_or_run(run_scenario, scenario, args.allow_large)
     runtime = time.perf_counter() - t0
+    # only a run that succeeded makes the output directory
+    with _os_errors(f"cannot write {args.out}"):
+        os.makedirs(args.out, exist_ok=True)
 
     outputs = []
     for name, trace in zip(["trace.csv", *names], [result.trace, *result.interference_traces]):

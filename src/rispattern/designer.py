@@ -1,63 +1,30 @@
 """Surface configuration design: closed-form phase matching, baselines, and
-alternating optimization over an arbitrary finite reflection alphabet.
+the exact optimum over an arbitrary finite reflection alphabet.
 
-Unless given a start, the alternating optimizer starts at the exact global
-optimum of |S|, S = sum gh x over the alphabet's entries x, found by a
-breakpoint sweep.  Why it is exact: |S| = max over psi of Re(e^{-j psi} S).
-At the optimum's direction psi*, every element's choice maximizes its own
-Re(e^{-j psi*} gh_i x_i), or changing it would raise |S|; and any choices
-that all do so reach |S| >= the optimum, so they are optimal too.  Such a
-choice is a vertex p_k of the convex hull of the entries, and as psi turns,
-element i's best vertex changes from p_k to p_{k+1} only at psi =
-arg(gh_i) + beta_k, beta_k the outward normal of the hull's edge k.  The
-sweep visits these N K breakpoints in order around the circle, moves a
-running sum by gh_i (p_{k+1} - p_k) at each and keeps the first maximum of
-|S|: it meets every assignment that is best for some psi, the optimum
-among them (the support function of a Minkowski sum of convex polygons).
-Its memory is the elements sorted by arg(gh) plus one sector of the circle
-at a time: each edge's breakpoints in a sector are a run of that order,
-found by searchsorted, and a sector holds at most _SECTOR of them unless
-they fall on one angle.  The coordinate ascent below then certifies the
-start, in one sweep without an update on the benchmark's designs; as the
-running sum is rounded, it takes any strict improvement the start missed.
-Given a start, the optimizer is plain coordinate ascent from it.
+The alphabet design is the exact global optimum of |S|, S = sum gh x over
+the alphabet's entries x, found by a breakpoint sweep.  Why it is exact:
+|S| = max over psi of Re(e^{-j psi} S).  At the optimum's direction psi*,
+every element's choice maximizes its own Re(e^{-j psi*} gh_i x_i), or
+changing it would raise |S|; and any choices that all do so reach |S| >=
+the optimum, so they are optimal too.  Such a choice is a vertex p_k of the
+convex hull of the entries, and as psi turns, element i's best vertex
+changes from p_k to p_{k+1} only at psi = arg(gh_i) + beta_k, beta_k the
+outward normal of the hull's edge k.  The sweep visits these N K
+breakpoints in order around the circle, moves a running sum by gh_i
+(p_{k+1} - p_k) at each and keeps the first maximum of |S|: it meets every
+assignment that is best for some psi, the optimum among them (the support
+function of a Minkowski sum of convex polygons).  Its memory is the
+elements sorted by arg(gh) plus one sector of the circle at a time: each
+edge's breakpoints in a sector are a run of that order, found by
+searchsorted, and a sector holds at most _SECTOR of them unless they fall
+on one angle.
 
-The alternating optimizer sweeps the elements in row-major order and gives
-each one the alphabet entry that maximizes the exact quadratic objective
-against the field sum of all other elements, changing it only on a strict
-improvement, ties to the lowest index.  The field total moves only when an
-element changes, and it is recomputed from scratch at the end of each sweep.
-The walk of one element at a time that this describes is the reference;
-the optimizer makes the same decisions but scores fewer elements.
-
-Most visits change nothing, and the optimizer proves that rather than
-deciding them: a certified-skip scan.  Element i, holding entry m, improves
-only if its margin (the best alternative's score minus the current score)
-is positive.  A round starts at an element with the current total T and
-screens the elements from there to the end of its block, the aligned run of
-_WINDOW elements that it lies in, against T with one matrix product: the
-(L x 3) coefficients of each entry's score times each element's [|gh|^2,
-Re q, Im q], q = gh conj(alpha).  An element whose screened margin plus a
-rounding allowance is negative is skipped; the others are decided in order.
-The round ends at its first update, and the next one starts just after that
-element against the moved total; a round without an update ends at its
-block's end.  So every element is screened at the exact total that it would
-be decided against, and a sweep without an update is one screen per block.
-
-Why the skip is exact.  The allowance is _ROUNDING (64 epsilon) times
-S_i = max|v|^2 |gh_i|^2 + 2 |gh_i| max|v| (|T| + |t_i|), which bounds the
-terms of element i's scores at total T.  A computed score, however its
-three products and the complex product q inside it are ordered or fused,
-lies within 5 epsilon S_i of the exact one, so two computations of a score
-difference differ by at most 20 epsilon S_i, under a third of the
-allowance.  So an element skipped here could not have shown an improvement
-to the decision that it skips.  Every element the scan decides is decided
-at its exact alpha by one numpy expression, the one the tests' per-element
-loop uses, and the total moves by Python complex products, which round like
-numpy's scalar ones: both use the four-multiply formula without fused
-operations.  numpy's array complex multiply may fuse multiply-adds on some
-CPUs, so an exact tie between entries is decided the same on every rerun
-but may be decided differently on another machine.
+optimize_alternating certifies the design in one pass: no single-element
+substitution may raise the objective by more than 1e-12 of it, or it
+raises.  The products gh = g h, the running sum and the certificate use
+numpy's array complex multiply, which may fuse multiply-adds on some CPUs,
+so an exact tie between assignments is decided the same on every rerun but
+may be decided differently on another machine.
 """
 
 from __future__ import annotations
@@ -94,7 +61,11 @@ class SurfaceConfig:
 
 @dataclass
 class OptimizerReport:
-    """Convergence record of one alternating-optimization run."""
+    """Record of one alphabet optimization, a single certifying pass:
+    iterations 1, the objective |sum g gamma h|^2 before and after it,
+    updates_per_sweep [0], and converged and coordinatewise_optimal True,
+    as the pass found no substitution gaining over 1e-12 of the objective
+    (optimize_alternating raises instead)."""
 
     iterations: int
     objective_trace: list[float]
@@ -106,15 +77,6 @@ class OptimizerReport:
     def element_update_count(self) -> int:
         return sum(self.updates_per_sweep)
 
-
-# Coordinate ascent stops after a sweep that changes no element, or after
-# _MAX_SWEEPS sweeps.
-_MAX_SWEEPS = 100
-
-# The certified-skip scan (module docstring): elements per block and the
-# rounding allowance factor.
-_WINDOW = 512
-_ROUNDING = 64 * np.finfo(float).eps
 
 # The most breakpoints one sector of the optimum's sweep gathers, unless they
 # fall on one angle (at most one per element there).
@@ -289,143 +251,38 @@ def _alphabet_optimum(gh: np.ndarray, values: np.ndarray) -> np.ndarray:
     return idx
 
 
-class _Scan:
-    """The certified-skip scan of one optimizer run (module docstring): the
-    design's constants, the current sweep's terms, and the indices, which
-    it updates in place."""
-
-    def __init__(self, gh: np.ndarray, values: np.ndarray, idx: np.ndarray):
-        self.gh, self.values, self.idx = gh, values, idx
-        self.values_list = values.tolist()
-        self.value_abs2 = np.abs(values) ** 2
-        self.gh_abs2 = np.abs(gh) ** 2
-        # rounding allowance = fixed |gh|^2 + slope (|total| + |term|)
-        v_max = float(np.abs(values).max())
-        self.fixed = _ROUNDING * v_max**2
-        self.slope = (_ROUNDING * 2.0 * v_max) * np.abs(gh)
-        # score_l = |v_l|^2 |gh|^2 + 2 Re(v_l q) with q = gh conj(alpha): each
-        # entry's coefficients of |gh|^2, Re q and Im q, and a block's rows
-        # [|gh|^2, Re q, Im q] for scores() to multiply them with
-        self.coef = np.stack([self.value_abs2, 2.0 * values.real, -2.0 * values.imag], axis=1)
-        self.x = np.empty((_WINDOW, 3))
-        self.rows = np.arange(_WINDOW)
-
-    def ascend(self) -> tuple[list[float], list[int], bool]:
-        """Sweep until a sweep changes no element, or for _MAX_SWEEPS
-        sweeps: returns the objective trace, the updates per sweep and
-        whether the last sweep changed nothing."""
-        total = self.new_sweep()
-        trace = [abs(total) ** 2]
-        updates_per_sweep = []
-        for _ in range(_MAX_SWEEPS):
-            updates = 0
-            now = complex(total)
-            start = 0
-            while start < self.idx.size:
-                start, now, updated = self.round(start, now)
-                updates += updated
-            updates_per_sweep.append(updates)
-            total = self.new_sweep()
-            trace.append(abs(total) ** 2)
-            if not updates:
-                return trace, updates_per_sweep, True
-        return trace, updates_per_sweep, False
-
-    def new_sweep(self) -> complex:
-        """Recompute every term from the indices, which caps incremental
-        rounding drift, and each element's allowance, which stays fixed
-        within a sweep as a round only reaches elements not yet visited.
-        Returns the total."""
-        # gh * gamma, not gh * values[idx]: numpy may compute a product with
-        # a large temporary in place with the operands swapped, and its fused
-        # complex multiply rounds differently with them swapped
-        gamma = self.values[self.idx]
-        self.terms = self.gh * gamma
-        self.allow = self.fixed * self.gh_abs2 + self.slope * np.abs(self.terms)
-        return np.sum(self.terms)
-
-    def scores(self, w: slice, alpha: np.ndarray) -> np.ndarray:
-        """Every entry's score for the elements of w at the given alphas,
-        (L x elements), from one matrix product."""
-        x = self.x[: alpha.size]
-        x[:, 0] = self.gh_abs2[w]
-        x[:, 1:] = (self.gh[w] * alpha.conj()).view(float).reshape(-1, 2)
-        return self.coef @ x.T
-
-    def round(self, start: int, now: complex) -> tuple[int, complex, bool]:
-        """One round from element `start` at total `now`: screen the rest of
-        start's block and decide, in order, the elements that pass, up to
-        the first update.  Returns where the next round starts, the total
-        and whether an element changed."""
-        stop = min((start // _WINDOW + 1) * _WINDOW, self.idx.size)
-        w = slice(start, stop)
-        rows = self.rows[: stop - start]
-        cur = self.idx[w]
-        scores = self.scores(w, now - self.terms[w])
-        own = scores[cur, rows]
-        scores[cur, rows] = -math.inf
-        base = scores.max(0) - own + self.allow[w] + self.slope[w] * abs(now)
-        for j in ((base >= 0).nonzero()[0] + start).tolist():
-            current = int(self.idx[j])
-            alpha = now - complex(self.terms[j])
-            best = self.decide(j, alpha, current)
-            if best != current:
-                self.idx[j] = best
-                return j + 1, alpha + complex(self.gh[j]) * self.values_list[best], True
-        return stop, now, False
-
-    def decide(self, j: int, alpha: complex, current: int) -> int:
-        """Element j's decision at alpha: the first best entry, kept at
-        `current` unless that strictly improves on it."""
-        exact = self.value_abs2 * self.gh_abs2[j] + 2.0 * (self.values * self.gh[j] * np.conj(alpha)).real
-        best = int(exact.argmax())
-        return best if exact[best] > exact[current] else current
-
-
 def optimize_alternating(
-    pair: ChannelPair,
-    alphabet: Alphabet,
-    init: SurfaceConfig | None = None,
+    pair: ChannelPair, alphabet: Alphabet
 ) -> tuple[SurfaceConfig, OptimizerReport]:
-    """Alternating (coordinate) ascent of |sum g gamma h|^2 over the alphabet.
-
-    Each element update maximizes the exact expanded objective
-    |G|^2 |g h|^2 + 2 Re{G g h conj(alpha)} over the L alphabet entries,
-    where alpha is the field sum excluding the element being updated; ties
-    break to the lowest alphabet index, and an element only changes state on
-    a strict improvement.  The outer loop stops after a sweep that changes
-    no element (converged=True), or after _MAX_SWEEPS (100) sweeps
-    (converged=False, best-so-far returned).
-    Without init the ascent starts at the exact global optimum over the
-    alphabet (the breakpoint sweep of the module docstring) and certifies
-    it.  With init it is plain coordinate ascent from there, a local method:
-    the output is coordinate-wise optimal, not necessarily the global
-    optimum.  The report's coordinatewise_optimal checks that with
-    is_coordinatewise_optimal after the last sweep.
-    """
+    """The exact global optimum of |sum g gamma h|^2 over the alphabet, from
+    the breakpoint sweep (module docstring), certified by one pass of
+    is_coordinatewise_optimal's test (no substitution gains over 1e-12 of
+    the objective).  A failed certificate is a bug in the sweep, so it
+    raises RuntimeError."""
     values = alphabet.values
     gh = (pair.g * pair.h).ravel()
-    if init is not None:
-        if init.alphabet_indices is None:
-            raise ValueError("initial config must carry alphabet indices")
-        idx = init.alphabet_indices.ravel().copy()
-    else:
-        idx = _alphabet_optimum(gh, values)
-    scan = _Scan(gh, values, idx)
-    trace, updates_per_sweep, converged = scan.ascend()
+    idx = _alphabet_optimum(gh, values)
+    # gh * gamma, not gh * values[idx]: numpy may compute a product with a
+    # large temporary in place with the operands swapped, and its fused
+    # complex multiply rounds differently with them swapped
+    gamma = values[idx]
+    terms = gh * gamma
+    if not _coordinatewise_optimal(gh, terms, values):
+        raise RuntimeError("the alphabet optimum failed its coordinate-wise certificate")
+    objective = abs(np.sum(terms)) ** 2
 
     shape = pair.g.shape
     config = SurfaceConfig(
-        values[idx].reshape(shape),
+        gamma.reshape(shape),
         DesignCriterion.from_alphabet(alphabet),
         alphabet_indices=idx.reshape(shape),
     )
     report = OptimizerReport(
-        iterations=len(trace) - 1,
-        objective_trace=trace,
-        converged=converged,
-        updates_per_sweep=updates_per_sweep,
-        coordinatewise_optimal=_coordinatewise_optimal(gh, scan.terms, values),
+        iterations=1,
+        objective_trace=[objective, objective],
+        converged=True,
+        updates_per_sweep=[0],
+        coordinatewise_optimal=True,
     )
     return config, report
 
@@ -433,8 +290,8 @@ def optimize_alternating(
 def is_coordinatewise_optimal(
     pair: ChannelPair, config: SurfaceConfig, alphabet: Alphabet
 ) -> bool:
-    """True if no single-element substitution from the alphabet strictly
-    increases the objective."""
+    """True if no single-element substitution from the alphabet increases
+    the objective by more than 1e-12 of it."""
     gh = (pair.g * pair.h).ravel()
     return _coordinatewise_optimal(gh, gh * config.gamma.ravel(), alphabet.values)
 

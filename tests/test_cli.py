@@ -67,7 +67,7 @@ class TestRunCommand:
         assert abs(manifest["peak_angle_deg"] - 45.0) < 5.0
         assert "optimizer" not in manifest
 
-    def test_manifest_records_the_optimizer(self, tmp_path, monkeypatch):
+    def test_manifest_records_the_optimizer(self, tmp_path):
         text = SCENARIO_TEXT.replace("criterion = uacp", "criterion = alphabet\nalphabet = varactor5g")
         path = tmp_path / "s.ini"
         path.write_text(text)
@@ -81,23 +81,21 @@ class TestRunCommand:
             "updates_per_sweep": report.updates_per_sweep,
             "coordinatewise_optimal": True,
         }
-        # the ascent starts at the exact optimum, which one sweep certifies
+        # one pass certifies the exact optimum
         assert report.iterations == len(report.updates_per_sweep) == 1
         assert report.updates_per_sweep == [0]
-        # from the cold start one sweep leaves the design improvable, and the
-        # manifest says so
+
+    def test_failed_certificate_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        # all-index-0 is not coordinate-wise optimal here, so a sweep that
+        # returned it fails the certificate, and the run writes nothing
+        text = SCENARIO_TEXT.replace("criterion = uacp", "criterion = alphabet\nalphabet = varactor5g")
+        path = tmp_path / "s.ini"
+        path.write_text(text)
         monkeypatch.setattr(designer, "_alphabet_optimum", lambda gh, values: np.zeros(gh.size, dtype=int))
-        cold = run_scenario(parse_scenario(text)).report
-        assert cold.iterations > 1
-        monkeypatch.setattr(designer, "_MAX_SWEEPS", 1)
-        assert main(["run", str(path), "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["optimizer"] == {
-            "iterations": 1,
-            "converged": False,
-            "updates_per_sweep": cold.updates_per_sweep[:1],
-            "coordinatewise_optimal": False,
-        }
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert single_error_line(capsys).startswith("error: scenario failed: RuntimeError")
+        assert not out.exists()
 
     def test_manifest_names_the_seed_in_the_criterion(self, tmp_path):
         path = tmp_path / "s.ini"
